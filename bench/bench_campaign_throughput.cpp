@@ -47,12 +47,12 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv, std::cerr)) return parser.exited() ? 0 : 2;
   if (max_jobs == 0) max_jobs = 1;
 
-  const auto& classes = bench::network_fault_classes();
+  const bench::CampaignFamily& network = bench::network_family();
   const auto total = static_cast<std::size_t>(runs);
   std::vector<harness::RunSpec> specs =
       harness::CampaignRunner::make_specs(total, seed);
   for (std::size_t i = 0; i < total; ++i) {
-    specs[i].label = classes[i % classes.size()];
+    specs[i].label = network.classes[i % network.classes.size()];
   }
 
   std::cout << "=== Campaign throughput: " << total
@@ -85,10 +85,7 @@ int main(int argc, char** argv) {
     harness::CampaignConfig config;
     config.jobs = jobs;
     config.seed = seed;
-    harness::CampaignRunner runner(
-        config, [](const harness::RunContext& ctx) {
-          return bench::run_network_fault(ctx.spec().label, ctx.spec().seed);
-        });
+    harness::CampaignRunner runner(config, network.run);
     const harness::CampaignOutcome outcome = runner.run(specs);
     const harness::CampaignReport report(specs, outcome);
 

@@ -83,6 +83,57 @@ const std::vector<std::string>& network_fault_classes() {
   return kClasses;
 }
 
+const CampaignFamily& network_family() {
+  static const CampaignFamily kFamily{
+      .program = "exp_network_coverage",
+      .title = "Network fault detection coverage",
+      .description =
+          "randomized network fault injection campaign (5 fault classes x "
+          "--runs injections, 4 detectors each)",
+      .default_seed = 0xC0FFEE,
+      .default_runs = 42,
+      .per_run = "4 detectors each",
+      .classes = network_fault_classes(),
+      .run =
+          [](const harness::RunContext& ctx) {
+            return run_network_fault(ctx.spec().label, ctx.spec().seed);
+          },
+      .expected_shape =
+          "per-frame faults -> E2E check; silence faults -> timeout "
+          "layers; gateway faults invisible on the bus",
+      // Each fault class must be caught by the layer designed for it, and
+      // the blind spots must stay blind.
+      .shape = [](const harness::CampaignReport& report, std::ostream&) {
+        const auto& table = report.coverage();
+        bool ok = true;
+        // Corruption: every damaged frame fails the CRC; the CMU relays it.
+        ok &= table.coverage("frame_corruption", "e2e_check") > 0.99;
+        ok &= table.coverage("frame_corruption", "cmu_report") > 0.99;
+        // A burst leaves a counter gap the next frame exposes -- except
+        // when the gap aliases: with a mod-15 alive counter, a burst that
+        // swallows exactly 15 command frames lands back on delta == 1 and
+        // sails through the sequence check. That blind spot is why the
+        // E2E counter is never deployed without timeout monitoring: the
+        // CMU must cover the residue.
+        ok &= table.coverage("loss_burst", "e2e_check") >= 0.75;
+        ok &= table.coverage("loss_burst", "e2e_check") <= 0.99;
+        ok &= table.coverage("loss_burst", "cmu_report") > 0.99;
+        // Starvation and partition silence the channel and the heartbeats.
+        ok &= table.coverage("babbling_idiot", "node_supervisor") > 0.99;
+        ok &= table.coverage("babbling_idiot", "cmu_report") > 0.99;
+        ok &= table.coverage("network_partition", "signal_qualifier") > 0.99;
+        ok &= table.coverage("network_partition", "node_supervisor") > 0.99;
+        // The gateway stall never touches the CAN itself: invisible to the
+        // bus-level supervisor and the CRC, yet the application's
+        // qualifier still degrades.
+        ok &= table.coverage("gateway_stall", "node_supervisor") == 0.0;
+        ok &= table.coverage("gateway_stall", "e2e_check") == 0.0;
+        ok &= table.coverage("gateway_stall", "signal_qualifier") > 0.99;
+        return ok;
+      }};
+  return kFamily;
+}
+
 harness::RunResult run_network_fault(const std::string& fault_class,
                                      std::uint64_t seed,
                                      std::int64_t run_until_us) {
@@ -261,6 +312,38 @@ const std::string& diag_readout_csv_header() {
       "fault_class,expected,verdict,dtc_total,dtc_active,freeze_frame,"
       "timeouts,negative_responses,accurate";
   return kHeader;
+}
+
+const CampaignFamily& diag_family() {
+  static const CampaignFamily kFamily{
+      .program = "exp_diag_readout",
+      .title = "Diagnostic readout accuracy",
+      .description =
+          "post-run diagnostic readout campaign (6 fault classes x --runs "
+          "injections, verdict per run)",
+      .default_seed = 0xD1A6,
+      .default_runs = 25,
+      .per_run =
+          "one full readout each; a cell is the diagnosis accuracy "
+          "(readout verdict == expected verdict)",
+      .classes = diag_fault_classes(),
+      .run =
+          [](const harness::RunContext& ctx) {
+            return run_diag_readout(ctx.spec().label, ctx.spec().seed);
+          },
+      .rows_header = diag_readout_csv_header(),
+      .rows_are_result = true,
+      .expected_shape =
+          "computation faults -> correct DTC in the readout; diag-layer "
+          "faults -> explicit NRC or tester timeout",
+      // Computation faults must read out as their own DTC; the diag-layer
+      // attacks must degrade into their explicit flag, never into a
+      // silently wrong readout. Both count as an accurate readout.
+      .shape = [](const harness::CampaignReport& report, std::ostream&) {
+        return every_class_detected(report, diag_fault_classes(),
+                                    {"diag_readout"});
+      }};
+  return kFamily;
 }
 
 harness::RunResult run_diag_readout(const std::string& fault_class,

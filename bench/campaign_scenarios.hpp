@@ -5,13 +5,16 @@
 // it for coverage — and bench_campaign_throughput — which uses it as a
 // realistic per-run workload for the serial-vs-parallel speedup
 // measurement. One run is one fresh world; nothing is shared across runs,
-// which is what lets the harness shard them freely.
+// which is what lets the harness shard them freely. Each fault family's
+// CampaignFamily descriptor (campaign_family.hpp) is defined next to its
+// class list.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "campaign_family.hpp"
 #include "harness/run_spec.hpp"
 #include "policy/policy.hpp"
 

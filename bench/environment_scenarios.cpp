@@ -102,6 +102,46 @@ const std::string& environment_fault_csv_header() {
   return kHeader;
 }
 
+const CampaignFamily& environment_family() {
+  static const CampaignFamily kFamily{
+      .program = "exp_environment_coverage",
+      .title = "Environmental detection coverage",
+      .description =
+          "environmental fault injection campaign (8 fault classes x --runs "
+          "injections, 4 detectors each)",
+      .default_seed = 0xE541,
+      .default_runs = 25,
+      .per_run = "4 detectors each",
+      .classes = environment_fault_classes(),
+      .run =
+          [](const harness::RunContext& ctx) {
+            return run_environment_fault(ctx.spec().label, ctx.spec().seed,
+                                         &ctx);
+          },
+      .rows_header = environment_fault_csv_header(),
+      .expected_shape =
+          "every class detected end-to-end; the runaway class steps warn "
+          "-> derate -> shutdown into the persistent safe state",
+      // Every class must be caught by the ESU/PSU, land in fault memory,
+      // be treated, and read back as a DTC -- and a runaway run must show
+      // the full graceful ladder in its stage trace.
+      .shape = [](const harness::CampaignReport& report, std::ostream& out) {
+        bool ladder_walked = false;
+        for (const auto& row : report.rows()) {
+          if (row.size() > 4 && row[0] == "thermal_runaway") {
+            ladder_walked |= row[4] == "normal>warn>derate>shutdown";
+          }
+        }
+        out << "ladder trace: "
+            << (ladder_walked ? "full ladder observed" : "MISSING") << '\n';
+        return every_class_detected(report, environment_fault_classes(),
+                                    {"env_report", "fault_memory",
+                                     "treatment", "diag_readout"}) &&
+               ladder_walked;
+      }};
+  return kFamily;
+}
+
 harness::RunResult run_environment_fault(const std::string& fault_class,
                                          std::uint64_t seed,
                                          const harness::RunContext* ctx) {

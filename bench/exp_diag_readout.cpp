@@ -24,84 +24,11 @@
 // Harness-ported: runs shard across --jobs workers, per-run seed is
 // derive_seed(--seed, run_index), and the per-run verdict CSV is
 // byte-identical for any --jobs value (a ctest gate enforces this).
-#include <fstream>
-#include <iostream>
-#include <string>
-#include <vector>
-
+//
+// The program is the shared bench::run_family() driver over
+// diag_family(), the descriptor defined in campaign_scenarios.cpp.
 #include "campaign_scenarios.hpp"
-#include "harness/campaign_cli.hpp"
-#include "harness/campaign_report.hpp"
-#include "harness/campaign_runner.hpp"
-
-using namespace easis;
 
 int main(int argc, char** argv) {
-  harness::CampaignCli cli(
-      "exp_diag_readout",
-      "post-run diagnostic readout campaign (6 fault classes x --runs "
-      "injections, verdict per run)",
-      /*default_seed=*/0xD1A6, /*default_runs=*/25,
-      "randomized injections per fault class", "exp_diag_readout.csv");
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-
-  const auto& classes = bench::diag_fault_classes();
-  const auto runs_per_class = static_cast<std::size_t>(cli.runs);
-  const std::size_t total = classes.size() * runs_per_class;
-
-  std::vector<harness::RunSpec> specs =
-      harness::CampaignRunner::make_specs(total, cli.seed);
-  for (std::size_t i = 0; i < total; ++i) {
-    specs[i].label = classes[i / runs_per_class];
-  }
-
-  harness::CampaignRunner runner(
-      cli.config(), [](const harness::RunContext& ctx) {
-        return bench::run_diag_readout(ctx.spec().label, ctx.spec().seed);
-      });
-  const harness::CampaignOutcome outcome = runner.run(specs);
-  const harness::CampaignReport report(specs, outcome);
-  const auto& table = report.coverage();
-
-  std::cout << "=== Diagnostic readout accuracy ===\n"
-            << report.completed_runs() << " randomized injections ("
-            << cli.jobs << " worker(s), seed 0x" << std::hex << cli.seed
-            << std::dec << "), one full readout each\n\n"
-            << "diagnosis accuracy per fault class (readout verdict == "
-               "expected verdict):\n";
-  table.print(std::cout);
-  if (!report.quarantined().empty()) {
-    std::cout << '\n' << report.quarantine_summary();
-  }
-
-  {
-    std::ofstream csv(cli.csv);
-    report.write_rows_csv(csv, bench::diag_readout_csv_header());
-  }
-  std::cout << "\nper-run verdicts written to " << cli.csv << '\n';
-  if (!cli.timing_csv.empty()) {
-    std::ofstream timing(cli.timing_csv);
-    report.write_timing_csv(timing, runner.config(), outcome);
-  }
-  cli.write_artifacts(report, outcome, std::cout);
-  std::cout << "campaign wall clock: " << outcome.wall_seconds << " s ("
-            << outcome.runs_per_second() << " runs/s)\n";
-
-  // Shape check: computation faults must read out as their own DTC; the
-  // diag-layer attacks must degrade into their explicit flag, never into
-  // a silently wrong readout.
-  bool shape_ok = true;
-  shape_ok &= table.coverage("aliveness", "diag_readout") > 0.99;
-  shape_ok &= table.coverage("arrival_rate", "diag_readout") > 0.99;
-  shape_ok &= table.coverage("program_flow", "diag_readout") > 0.99;
-  shape_ok &= table.coverage("diag_request_corruption", "diag_readout") > 0.99;
-  shape_ok &= table.coverage("diag_response_drop", "diag_readout") > 0.99;
-  shape_ok &= table.coverage("diag_reset_blackout", "diag_readout") > 0.99;
-  shape_ok &= report.quarantined().empty();
-  std::cout << "--- expected vs measured ---\n"
-            << "expected shape: computation faults -> correct DTC in the "
-               "readout; diag-layer faults -> explicit NRC or tester "
-               "timeout\n"
-            << "shape check: " << (shape_ok ? "PASS" : "FAIL") << "\n";
-  return shape_ok ? 0 : 1;
+  return easis::bench::run_family(easis::bench::diag_family(), argc, argv);
 }

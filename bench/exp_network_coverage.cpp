@@ -24,98 +24,11 @@
 // Ported onto the campaign harness: runs shard across --jobs workers, the
 // per-run seed is derive_seed(--seed, run_index), and the result CSV is
 // byte-identical for any --jobs value.
-#include <fstream>
-#include <iostream>
-#include <string>
-#include <vector>
-
+//
+// The program is the shared bench::run_family() driver over
+// network_family(), the descriptor defined in campaign_scenarios.cpp.
 #include "campaign_scenarios.hpp"
-#include "harness/campaign_cli.hpp"
-#include "harness/campaign_report.hpp"
-#include "harness/campaign_runner.hpp"
-
-using namespace easis;
 
 int main(int argc, char** argv) {
-  harness::CampaignCli cli(
-      "exp_network_coverage",
-      "randomized network fault injection campaign (5 fault classes x "
-      "--runs injections, 4 detectors each)",
-      /*default_seed=*/0xC0FFEE, /*default_runs=*/42,
-      "randomized injections per fault class", "exp_network_coverage.csv");
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-
-  const auto& classes = bench::network_fault_classes();
-  const auto runs_per_class = static_cast<std::size_t>(cli.runs);
-  const std::size_t total = classes.size() * runs_per_class;
-
-  std::vector<harness::RunSpec> specs =
-      harness::CampaignRunner::make_specs(total, cli.seed);
-  for (std::size_t i = 0; i < total; ++i) {
-    specs[i].label = classes[i / runs_per_class];
-  }
-
-  harness::CampaignRunner runner(
-      cli.config(), [](const harness::RunContext& ctx) {
-        return bench::run_network_fault(ctx.spec().label, ctx.spec().seed);
-      });
-  const harness::CampaignOutcome outcome = runner.run(specs);
-  const harness::CampaignReport report(specs, outcome);
-  const auto& table = report.coverage();
-
-  std::cout << "=== Network fault detection coverage ===\n"
-            << report.completed_runs() << " randomized injections ("
-            << cli.jobs << " worker(s), seed 0x" << std::hex << cli.seed
-            << std::dec << "), 4 detectors each\n\n";
-  table.print(std::cout);
-  if (!report.quarantined().empty()) {
-    std::cout << '\n' << report.quarantine_summary();
-  }
-
-  {
-    std::ofstream csv(cli.csv);
-    report.write_coverage_csv(csv);
-  }
-  std::cout << "\nraw results written to " << cli.csv << '\n';
-  if (!cli.timing_csv.empty()) {
-    std::ofstream timing(cli.timing_csv);
-    report.write_timing_csv(timing, runner.config(), outcome);
-  }
-  cli.write_artifacts(report, outcome, std::cout);
-  std::cout << "campaign wall clock: " << outcome.wall_seconds << " s ("
-            << outcome.runs_per_second() << " runs/s)\n";
-
-  // Shape check: each fault class must be caught by the layer designed
-  // for it, and the blind spots must stay blind.
-  bool shape_ok = true;
-  // Corruption: every damaged frame fails the CRC; the CMU relays it.
-  shape_ok &= table.coverage("frame_corruption", "e2e_check") > 0.99;
-  shape_ok &= table.coverage("frame_corruption", "cmu_report") > 0.99;
-  // A burst leaves a counter gap the next frame exposes -- except when
-  // the gap aliases: with a mod-15 alive counter, a burst that swallows
-  // exactly 15 command frames lands back on delta == 1 and sails through
-  // the sequence check. That blind spot is why the E2E counter is never
-  // deployed without timeout monitoring: the CMU must cover the residue.
-  shape_ok &= table.coverage("loss_burst", "e2e_check") >= 0.75;
-  shape_ok &= table.coverage("loss_burst", "e2e_check") <= 0.99;
-  shape_ok &= table.coverage("loss_burst", "cmu_report") > 0.99;
-  // Starvation and partition silence the channel and the heartbeats.
-  shape_ok &= table.coverage("babbling_idiot", "node_supervisor") > 0.99;
-  shape_ok &= table.coverage("babbling_idiot", "cmu_report") > 0.99;
-  shape_ok &= table.coverage("network_partition", "signal_qualifier") > 0.99;
-  shape_ok &= table.coverage("network_partition", "node_supervisor") > 0.99;
-  // The gateway stall never touches the CAN itself: invisible to the
-  // bus-level supervisor and the CRC, yet the application's qualifier
-  // still degrades.
-  shape_ok &= table.coverage("gateway_stall", "node_supervisor") == 0.0;
-  shape_ok &= table.coverage("gateway_stall", "e2e_check") == 0.0;
-  shape_ok &= table.coverage("gateway_stall", "signal_qualifier") > 0.99;
-  // The harness must not have quarantined anything in a healthy campaign.
-  shape_ok &= report.quarantined().empty();
-  std::cout << "--- expected vs measured ---\n"
-            << "expected shape: per-frame faults -> E2E check; silence "
-               "faults -> timeout layers; gateway faults invisible on the "
-               "bus\n"
-            << "shape check: " << (shape_ok ? "PASS" : "FAIL") << "\n";
-  return shape_ok ? 0 : 1;
+  return easis::bench::run_family(easis::bench::network_family(), argc, argv);
 }

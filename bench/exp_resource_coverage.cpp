@@ -25,102 +25,11 @@
 // Harness-ported: runs shard across --jobs workers, per-run seed is
 // derive_seed(--seed, run_index), and both CSVs are byte-identical for
 // any --jobs value (the resource_jobs_determinism_* ctest gates).
-#include <fstream>
-#include <iostream>
-#include <string>
-#include <vector>
-
+//
+// The program is the shared bench::run_family() driver over
+// resource_family(), the descriptor defined in resource_scenarios.cpp.
 #include "campaign_scenarios.hpp"
-#include "harness/campaign_cli.hpp"
-#include "harness/campaign_report.hpp"
-#include "harness/campaign_runner.hpp"
-
-using namespace easis;
 
 int main(int argc, char** argv) {
-  harness::CampaignCli cli(
-      "exp_resource_coverage",
-      "resource-exhaustion fault injection campaign (6 fault classes x "
-      "--runs injections, 4 detectors each)",
-      /*default_seed=*/0x5E50, /*default_runs=*/25,
-      "randomized injections per fault class", "exp_resource_coverage.csv");
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-
-  const auto& classes = bench::resource_fault_classes();
-  const auto runs_per_class = static_cast<std::size_t>(cli.runs);
-  const std::size_t total = classes.size() * runs_per_class;
-
-  std::vector<harness::RunSpec> specs =
-      harness::CampaignRunner::make_specs(total, cli.seed);
-  for (std::size_t i = 0; i < total; ++i) {
-    specs[i].label = classes[i / runs_per_class];
-  }
-
-  harness::CampaignRunner runner(
-      cli.config(), [](const harness::RunContext& ctx) {
-        return bench::run_resource_fault(ctx.spec().label, ctx.spec().seed,
-                                         &ctx);
-      });
-  const harness::CampaignOutcome outcome = runner.run(specs);
-  const harness::CampaignReport report(specs, outcome);
-  const auto& table = report.coverage();
-
-  std::cout << "=== Resource-exhaustion detection coverage ===\n"
-            << report.completed_runs() << " randomized injections ("
-            << cli.jobs << " worker(s), seed 0x" << std::hex << cli.seed
-            << std::dec << "), 4 detectors each\n\n";
-  table.print(std::cout);
-  if (!report.quarantined().empty()) {
-    std::cout << '\n' << report.quarantine_summary();
-  }
-  if (outcome.skipped > 0) {
-    std::cout << '\n'
-              << outcome.skipped << " run(s) skipped by --fail-fast\n";
-  }
-
-  {
-    std::ofstream csv(cli.csv);
-    report.write_coverage_csv(csv);
-  }
-  std::cout << "\nper-class coverage written to " << cli.csv << '\n';
-  {
-    std::string rows_path = cli.csv;
-    if (rows_path.size() > 4 &&
-        rows_path.rfind(".csv") == rows_path.size() - 4) {
-      rows_path.resize(rows_path.size() - 4);
-    }
-    rows_path += ".runs.csv";
-    std::ofstream rows(rows_path);
-    report.write_rows_csv(rows, bench::resource_fault_csv_header());
-    std::cout << "per-run verdicts written to " << rows_path << '\n';
-  }
-  if (!cli.timing_csv.empty()) {
-    std::ofstream timing(cli.timing_csv);
-    report.write_timing_csv(timing, runner.config(), outcome);
-  }
-  cli.write_artifacts(report, outcome, std::cout);
-  std::cout << "campaign wall clock: " << outcome.wall_seconds << " s ("
-            << outcome.runs_per_second() << " runs/s)\n";
-
-  // Shape check: every resource fault class must be caught by the RSU,
-  // roll its task to faulty, be treated, and read back as a DTC. With
-  // --fail-fast the sweep is partial, so the shape check is skipped.
-  bool shape_ok = true;
-  if (outcome.skipped == 0) {
-    for (const auto& fault_class : classes) {
-      shape_ok &= table.coverage(fault_class, "rsu_report") > 0.99;
-      shape_ok &= table.coverage(fault_class, "task_state") > 0.99;
-      shape_ok &= table.coverage(fault_class, "treatment") > 0.99;
-      shape_ok &= table.coverage(fault_class, "diag_readout") > 0.99;
-    }
-    shape_ok &= report.quarantined().empty();
-    std::cout << "--- expected vs measured ---\n"
-              << "expected shape: every class detected by the RSU and "
-                 "readable as a DTC; memory/handle/queue faults end in a "
-                 "restart, CPU faults in load shedding\n"
-              << "shape check: " << (shape_ok ? "PASS" : "FAIL") << "\n";
-  } else {
-    std::cout << "shape check skipped (--fail-fast partial sweep)\n";
-  }
-  return shape_ok ? 0 : 1;
+  return easis::bench::run_family(easis::bench::resource_family(), argc, argv);
 }

@@ -68,6 +68,37 @@ const std::string& mode_fault_csv_header() {
   return kHeader;
 }
 
+const CampaignFamily& mode_family() {
+  static const CampaignFamily kFamily{
+      .program = "exp_mode_coverage",
+      .title = "Power-mode detection coverage",
+      .description =
+          "mode-aware fault injection campaign on a duty-cycled sensor node "
+          "(6 fault classes x --runs injections, 4 detectors each)",
+      .default_seed = 0x30DE,
+      .default_runs = 25,
+      .per_run = "4 detectors each",
+      .classes = mode_fault_classes(),
+      .run =
+          [](const harness::RunContext& ctx) {
+            return run_mode_fault(ctx.spec().label, ctx.spec().seed, &ctx);
+          },
+      .rows_header = mode_fault_csv_header(),
+      .expected_shape =
+          "every mode-aware class detected by the mode supervision unit "
+          "and readable as a DTC, with zero false alarms during contractual "
+          "deep-sleep silence",
+      // Every class must be caught by the mode unit, stored, treated and
+      // read back as a DTC. A false alarm during legitimate duty cycling
+      // fails the run's verdict, which quarantines it.
+      .shape = [](const harness::CampaignReport& report, std::ostream&) {
+        return every_class_detected(
+            report, mode_fault_classes(),
+            {"mode_report", "fault_memory", "treatment", "diag_readout"});
+      }};
+  return kFamily;
+}
+
 policy::PolicySet railmon_duty_policy() {
   policy::PolicySet policy = policy::baseline();
   policy.id = "railmon_duty";

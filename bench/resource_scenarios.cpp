@@ -81,6 +81,37 @@ const std::string& resource_fault_csv_header() {
   return kHeader;
 }
 
+const CampaignFamily& resource_family() {
+  static const CampaignFamily kFamily{
+      .program = "exp_resource_coverage",
+      .title = "Resource-exhaustion detection coverage",
+      .description =
+          "resource-exhaustion fault injection campaign (6 fault classes x "
+          "--runs injections, 4 detectors each)",
+      .default_seed = 0x5E50,
+      .default_runs = 25,
+      .per_run = "4 detectors each",
+      .classes = resource_fault_classes(),
+      .run =
+          [](const harness::RunContext& ctx) {
+            return run_resource_fault(ctx.spec().label, ctx.spec().seed,
+                                      &ctx);
+          },
+      .rows_header = resource_fault_csv_header(),
+      .expected_shape =
+          "every class detected by the RSU and readable as a DTC; "
+          "memory/handle/queue faults end in a restart, CPU faults in load "
+          "shedding",
+      // Every class must be caught by the RSU, roll its task to faulty, be
+      // treated, and read back as a DTC.
+      .shape = [](const harness::CampaignReport& report, std::ostream&) {
+        return every_class_detected(
+            report, resource_fault_classes(),
+            {"rsu_report", "task_state", "treatment", "diag_readout"});
+      }};
+  return kFamily;
+}
+
 harness::RunResult run_resource_fault(const std::string& fault_class,
                                       std::uint64_t seed,
                                       const harness::RunContext* ctx) {

@@ -76,14 +76,41 @@ class CampaignCli {
   }
 
   /// The prefix flight-recorder dumps are written under: --flight-prefix
-  /// when given, else the result CSV path with a trailing ".csv" stripped.
+  /// when given, else the result CSV's stem (see csv_stem()).
   [[nodiscard]] std::string flight_prefix() const {
-    if (!telemetry.flight_prefix.empty()) return telemetry.flight_prefix;
-    std::string prefix = csv;
-    if (prefix.size() > 4 && prefix.rfind(".csv") == prefix.size() - 4) {
-      prefix.resize(prefix.size() - 4);
+    return telemetry.flight_prefix.empty() ? csv_stem()
+                                           : telemetry.flight_prefix;
+  }
+
+  /// The result CSV path with a trailing ".csv" stripped: the one naming
+  /// rule for every file a campaign writes next to its result CSV.
+  [[nodiscard]] std::string csv_stem() const {
+    return csv.size() > 4 && csv.ends_with(".csv")
+               ? csv.substr(0, csv.size() - 4)
+               : csv;
+  }
+
+  /// Writes the per-run rows sidecar, `<csv stem>.runs.csv`, under the
+  /// given header. Deterministic across --jobs, like the result CSV.
+  void write_runs_csv(const CampaignReport& report, const std::string& header,
+                      std::ostream& log) const {
+    const std::string path = csv_stem() + ".runs.csv";
+    std::ofstream out(path);
+    report.write_rows_csv(out, header);
+    log << "per-run rows written to " << path << '\n';
+  }
+
+  /// The output tail every campaign shares: the timing CSV (--timing-csv),
+  /// the telemetry artifacts (write_artifacts) and the wall-clock line.
+  void finish(const CampaignReport& report, const CampaignConfig& config,
+              const CampaignOutcome& outcome, std::ostream& log) const {
+    if (!timing_csv.empty()) {
+      std::ofstream timing(timing_csv);
+      report.write_timing_csv(timing, config, outcome);
     }
-    return prefix;
+    write_artifacts(report, outcome, log);
+    log << "campaign wall clock: " << outcome.wall_seconds << " s ("
+        << outcome.runs_per_second() << " runs/s)\n";
   }
 
   /// Writes the telemetry artifacts the flags requested: the event log
@@ -102,11 +129,7 @@ class CampaignCli {
     }
     if (!telemetry.metrics_out.empty()) {
       std::ofstream out(telemetry.metrics_out);
-      const bool as_csv =
-          telemetry.metrics_out.size() > 4 &&
-          telemetry.metrics_out.rfind(".csv") ==
-              telemetry.metrics_out.size() - 4;
-      report.write_metrics(out, as_csv);
+      report.write_metrics(out, telemetry.metrics_out.ends_with(".csv"));
       log << "metrics: " << telemetry.metrics_out << '\n';
     }
     if (!telemetry.profile_csv.empty()) {
