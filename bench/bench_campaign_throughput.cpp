@@ -11,13 +11,16 @@
 //
 // Speedup is bounded by the machine: on a single-core CI shell this
 // measures the harness overhead (expect ~1x); on the 4-core CI runner the
-// 4-worker point is the ≥2.5x acceptance measurement.
+// 4-worker point is the ≥2.5x acceptance measurement. Each JSON point
+// therefore carries the host's CPU count and the build type, so snapshots
+// from different hosts or builds are not compared as like with like.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign_scenarios.hpp"
@@ -119,6 +122,7 @@ int main(int argc, char** argv) {
   // format the trend tooling tracks across commits (results/ keeps the
   // committed reference points).
   if (!json_path.empty()) {
+    const unsigned host_cpus = std::thread::hardware_concurrency();
     std::ofstream json(json_path);
     json << "{\n"
          << "  \"bench\": \"campaign_throughput\",\n"
@@ -131,7 +135,9 @@ int main(int argc, char** argv) {
       json << "    {\"jobs\": " << p.jobs << ", \"wall_s\": " << p.wall_s
            << ", \"runs_per_s\": " << p.runs_per_s
            << ", \"speedup\": " << p.speedup << ", \"deterministic\": "
-           << (p.deterministic ? "true" : "false") << "}"
+           << (p.deterministic ? "true" : "false")
+           << ", \"host_cpus\": " << host_cpus << ", \"build_type\": \""
+           << EASIS_BUILD_TYPE << "\"}"
            << (i + 1 < points.size() ? "," : "") << '\n';
     }
     json << "  ]\n}\n";

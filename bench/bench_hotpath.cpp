@@ -1,10 +1,11 @@
 // Hot-path micro-benchmarks (DESIGN.md §15, ROADMAP item 2).
 //
 // One benchmark per per-run hot-path primitive the campaign profiler
-// attributes cost to: the sim::Engine step loop, telemetry event-bus
-// publication, the HBM window check, the PFC pair lookup, SignalBus
-// enqueue/drain, and DTC store insertion — plus the profiler's own span
-// overhead (installed and uninstalled), so the <5% campaign-overhead
+// attributes cost to: the sim::Engine step loop, CAN arbitration over a
+// pending backlog, one FlexRay cycle, telemetry event-bus publication, the
+// HBM window check, the PFC pair lookup, SignalBus enqueue/drain, and DTC
+// store insertion — plus the profiler's own span overhead (installed, with
+// and without raw records, and uninstalled), so the <5% campaign-overhead
 // budget has a per-site number behind it.
 //
 // google-benchmark binary with a custom main: --json <path> additionally
@@ -19,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "bus/can.hpp"
+#include "bus/flexray.hpp"
 #include "fmf/dtc.hpp"
 #include "profile/profiler.hpp"
 #include "rte/signal_bus.hpp"
@@ -60,6 +63,55 @@ void BM_EngineStepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineStepLoop);
+
+/// CAN arbitration with a backlog of N pending frames: per iteration one
+/// transmit joins the queue and one frame completes, which delivers it and
+/// arbitrates the next winner (the babbling_idiot load pattern, where the
+/// backlog reaches thousands of frames).
+void BM_CanArbitration(benchmark::State& state) {
+  sim::Engine engine;
+  bus::CanBus can(engine);
+  const auto tx = can.attach("tx", nullptr);
+  can.attach("rx", [](const bus::Frame&, sim::SimTime) {});
+  std::uint32_t n = 0;
+  const auto next_frame = [&n] {
+    bus::Frame frame;
+    frame.id = (n++ * 2654435761u) & 0x7FF;  // scattered 11-bit ids
+    frame.payload.assign(8, 0xAB);
+    return frame;
+  };
+  for (std::int64_t i = 0; i <= state.range(0); ++i) {
+    can.transmit(tx, next_frame());
+  }
+  for (auto _ : state) {
+    can.transmit(tx, next_frame());
+    engine.step();
+  }
+  benchmark::DoNotOptimize(can.frames_delivered());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CanArbitration)->Arg(16)->Arg(4096);
+
+/// One 5 ms FlexRay cycle of 10 static slots with one owned slot carrying
+/// a staged frame (the VehicleNetwork speed-broadcast configuration).
+void BM_FlexRayCycle(benchmark::State& state) {
+  sim::Engine engine;
+  bus::FlexRayBus flexray(engine);
+  const auto tx = flexray.attach("tx", nullptr);
+  flexray.attach("rx", [](const bus::Frame&, sim::SimTime) {});
+  flexray.assign_slot(3, tx);
+  flexray.start();
+  bus::Frame frame;
+  frame.id = 0x10;
+  frame.payload.assign(8, 0xAB);
+  for (auto _ : state) {
+    flexray.send(tx, 3, frame);
+    engine.run_for(flexray.config().cycle);
+  }
+  benchmark::DoNotOptimize(flexray.frames_delivered());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlexRayCycle);
 
 /// Telemetry event-bus publication with one attached sink (the campaign
 /// capture configuration: flight recorder + event log behind one lambda).
@@ -155,11 +207,11 @@ void BM_DtcStoreInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_DtcStoreInsert);
 
-/// Profiler span cost with a profiler installed: two steady_clock reads,
-/// the tree walk, and a ring write (what an instrumented site pays inside
-/// a profiled campaign).
+/// Profiler span cost with a profiler installed and no raw records (what
+/// an instrumented site pays inside a campaign profiled without
+/// --trace-out): two clock reads and the tree walk.
 void BM_ProfileSpanInstalled(benchmark::State& state) {
-  profile::Profiler profiler;
+  profile::Profiler profiler(profile::Profiler::Config{.ring_capacity = 0});
   profiler.begin_run();
   profile::ProfileScope scope(profiler);
   for (auto _ : state) {
@@ -169,6 +221,20 @@ void BM_ProfileSpanInstalled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ProfileSpanInstalled);
+
+/// The same with raw records kept for the trace export (--trace-out): one
+/// more ring write per span.
+void BM_ProfileSpanRecorded(benchmark::State& state) {
+  profile::Profiler profiler;
+  profiler.begin_run();
+  profile::ProfileScope scope(profiler);
+  for (auto _ : state) {
+    EASIS_PROFILE_SPAN("bench.span.recorded");
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProfileSpanRecorded);
 
 /// Profiler span cost with no profiler installed: the thread-local load
 /// plus branch every instrumented site pays in an unprofiled campaign.

@@ -34,30 +34,28 @@ sim::Duration CanBus::frame_time(const Frame& frame) const {
 void CanBus::transmit(EndpointId from, Frame frame) {
   assert(from < endpoints_.size());
   pending_.push_back(Pending{from, std::move(frame), seq_++});
+  std::push_heap(pending_.begin(), pending_.end(), LosesArbitration{});
   try_start();
 }
 
 void CanBus::try_start() {
   if (busy_ || pending_.empty()) return;
-  // Arbitration: lowest identifier wins; FIFO among equal ids.
-  auto winner = std::min_element(
-      pending_.begin(), pending_.end(),
-      [](const Pending& a, const Pending& b) {
-        if (a.frame.id != b.frame.id) return a.frame.id < b.frame.id;
-        return a.seq < b.seq;
-      });
-  Pending tx = std::move(*winner);
-  pending_.erase(winner);
+  // Arbitration: lowest identifier wins; FIFO among equal ids. The heap
+  // keeps the winner at the front, so a backlog of n frames costs
+  // O(log n) per arbitration rather than a scan plus an erase.
+  std::pop_heap(pending_.begin(), pending_.end(), LosesArbitration{});
+  Pending tx = std::move(pending_.back());
+  pending_.pop_back();
   busy_ = true;
   const sim::Duration duration = frame_time(tx.frame);
-  engine_.schedule_in(duration, [this, tx = std::move(tx)] {
+  engine_.schedule_in(duration, [this, tx = std::move(tx)]() mutable {
     busy_ = false;
     if (bus_off_ || (drop_hook_ && drop_hook_(tx.frame))) {
       ++lost_;
       try_start();
       return;
     }
-    Frame frame = tx.frame;  // fault link may corrupt in place
+    Frame frame = std::move(tx.frame);  // fault link may corrupt in place
     FaultLink::Verdict verdict;
     if (fault_link_) verdict = fault_link_->process(frame);
     if (verdict.drop) {

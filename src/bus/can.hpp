@@ -29,7 +29,9 @@ class CanBus {
   EndpointId attach(std::string name, FrameHandler rx);
 
   /// Queues a frame for transmission; arbitration picks the lowest id
-  /// among pending frames each time the bus becomes idle.
+  /// among pending frames (FIFO among equal ids) each time the bus becomes
+  /// idle. The software queue is unbounded: every queued frame is
+  /// eventually sent.
   void transmit(EndpointId from, Frame frame);
 
   // --- bus fault modes (injection support) ----------------------------------
@@ -67,10 +69,19 @@ class CanBus {
     Frame frame;
     std::uint64_t seq;  // FIFO tie-break for equal ids
   };
+  /// Heap order for `pending_`: the arbitration winner (lowest id, then
+  /// lowest seq) sits at the front.
+  struct LosesArbitration {
+    bool operator()(const Pending& a, const Pending& b) const {
+      if (a.frame.id != b.frame.id) return a.frame.id > b.frame.id;
+      return a.seq > b.seq;
+    }
+  };
 
   sim::Engine& engine_;
   std::uint32_t bitrate_bps_;
   std::vector<Endpoint> endpoints_;
+  /// Binary heap under LosesArbitration (std::push_heap / std::pop_heap).
   std::vector<Pending> pending_;
   bool busy_ = false;
   bool bus_off_ = false;

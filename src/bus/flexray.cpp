@@ -66,13 +66,16 @@ void FlexRayBus::schedule_cycle(sim::SimTime cycle_start,
                                 std::uint64_t generation) {
   const sim::Duration slot_len = slot_length();
   for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-    // Delivery at the slot end.
+    // Delivery at the slot end. An unowned slot can never carry a frame,
+    // so it costs no event; skipping it leaves the order of the remaining
+    // events unchanged.
+    if (!slots_[s].owner) continue;
     engine_.schedule_at(
         cycle_start + slot_len * (s + 1),
         [this, s, generation] {
           if (generation != generation_ || !running_) return;
           Slot& slot = slots_[s];
-          if (!slot.owner || !slot.staged) return;
+          if (!slot.staged) return;
           Frame frame = std::move(*slot.staged);
           slot.staged.reset();
           FaultLink::Verdict verdict;

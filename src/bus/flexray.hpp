@@ -33,7 +33,9 @@ class FlexRayBus {
 
   EndpointId attach(std::string name, FrameHandler rx);
 
-  /// Grants `endpoint` exclusive send rights for `slot` (0-based).
+  /// Grants `endpoint` exclusive send rights for `slot` (0-based). On a
+  /// running bus the slot carries frames from the next cycle on: a cycle
+  /// only schedules slot-end events for the slots owned when it begins.
   void assign_slot(std::uint32_t slot, EndpointId endpoint);
 
   /// Stages a frame for the endpoint's slot in the next cycle occurrence

@@ -12,6 +12,7 @@
 
 #include "harness/campaign_report.hpp"
 #include "harness/campaign_runner.hpp"
+#include "profile/profiler.hpp"
 #include "util/argparse.hpp"
 
 namespace easis::harness {
@@ -72,6 +73,10 @@ class CampaignCli {
     // turns the per-run profiler on; without one the campaign pays only
     // the per-site thread-local null check.
     config.profile = telemetry.profiling_requested();
+    // Raw span records feed only the trace export.
+    if (!telemetry.trace_out.empty()) {
+      config.profile_ring_capacity = profile::Profiler::Config{}.ring_capacity;
+    }
     return config;
   }
 

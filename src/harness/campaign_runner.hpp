@@ -54,8 +54,10 @@ struct CampaignConfig {
   /// only the per-site thread-local null check.
   bool profile = false;
   /// Ring capacity of each worker's profiler (raw span records per run);
-  /// only meaningful with `profile`.
-  std::size_t profile_ring_capacity = 1 << 16;
+  /// only meaningful with `profile`. Zero, the default, keeps no records:
+  /// only the trace export reads them (CampaignCli sizes the ring when
+  /// --trace-out is given).
+  std::size_t profile_ring_capacity = 0;
 };
 
 struct CampaignOutcome {

@@ -11,8 +11,6 @@ namespace easis::profile {
 
 namespace {
 
-thread_local Profiler* g_current = nullptr;
-
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -79,7 +77,6 @@ std::string RunProfile::path(std::size_t i) const {
 Profiler::Profiler() : Profiler(Config{}) {}
 
 Profiler::Profiler(Config config) : config_(config) {
-  if (config_.ring_capacity == 0) config_.ring_capacity = 1;
   ring_.reserve(std::min<std::size_t>(config_.ring_capacity, 4096));
 }
 
@@ -131,6 +128,7 @@ void Profiler::pop_span() {
   node.self_ns += dur - frame.child_ns;
   if (!stack_.empty()) stack_.back().child_ns += dur;
 
+  if (config_.ring_capacity == 0) return;
   if (ring_.size() < config_.ring_capacity) {
     ring_.push_back(RunProfile::SpanRecord{frame.node, frame.start_ns, dur});
   } else {
@@ -140,11 +138,6 @@ void Profiler::pop_span() {
     ring_next_ = (ring_next_ + 1) % config_.ring_capacity;
     ++dropped_;
   }
-}
-
-void Profiler::count(NameId name, std::uint64_t delta) {
-  if (name >= counters_.size()) counters_.resize(name + 1, 0);
-  counters_[name] += delta;
 }
 
 RunProfile Profiler::harvest_run(unsigned worker) {
@@ -182,11 +175,9 @@ RunProfile Profiler::harvest_run(unsigned worker) {
   return profile;
 }
 
-Profiler* current() { return g_current; }
-
 ProfileScope::ProfileScope(Profiler& profiler)
-    : previous_(std::exchange(g_current, &profiler)) {}
+    : previous_(std::exchange(detail::installed, &profiler)) {}
 
-ProfileScope::~ProfileScope() { g_current = previous_; }
+ProfileScope::~ProfileScope() { detail::installed = previous_; }
 
 }  // namespace easis::profile

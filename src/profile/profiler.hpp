@@ -2,9 +2,11 @@
 //
 // A Profiler owns the per-run profiling state of one worker thread: a span
 // tree (name, nesting, hit counts, self/total wall time), lightweight named
-// counters, and a bounded ring of raw span records for trace export. RAII
-// ScopedSpans cost two steady_clock reads plus one ring write; counters cost
-// one thread-local load and an indexed add. Instrumentation sites use the
+// counters, and (only when configured) a bounded ring of raw span records
+// for trace export. RAII ScopedSpans cost two steady_clock reads plus a tree
+// lookup, and one ring write when records are kept; counters cost one
+// thread-local load and an indexed add, so a site cheaper than a span is a
+// counter (DESIGN.md §15, span granularity). Instrumentation sites use the
 // EASIS_PROFILE_SPAN / EASIS_PROFILE_COUNT macros, which compile to nothing
 // when the tree is configured with EASIS_PROFILING=OFF (the zero-cost kill
 // switch for production builds).
@@ -87,7 +89,9 @@ class Profiler {
  public:
   struct Config {
     /// Raw span records kept per run; older records are overwritten (and
-    /// counted as dropped) once the ring is full.
+    /// counted as dropped) once the ring is full. Zero keeps no records:
+    /// only the trace export reads them, and the span tree and counters
+    /// do not depend on them.
     std::size_t ring_capacity = 1 << 16;
   };
 
@@ -104,7 +108,10 @@ class Profiler {
   // --- recording (called via ScopedSpan / the macros) ----------------------
   void push_span(NameId name);
   void pop_span();
-  void count(NameId name, std::uint64_t delta);
+  void count(NameId name, std::uint64_t delta) {
+    if (name >= counters_.size()) counters_.resize(name + 1, 0);
+    counters_[name] += delta;
+  }
 
   // --- introspection (tests) ----------------------------------------------
   [[nodiscard]] std::size_t open_spans() const { return stack_.size(); }
@@ -142,10 +149,15 @@ class Profiler {
   std::vector<std::uint64_t> counters_;
 };
 
+namespace detail {
+/// Backing store of current(); written only by ProfileScope.
+inline constinit thread_local Profiler* installed = nullptr;
+}  // namespace detail
+
 /// The profiler installed for this thread, or nullptr. Instrumentation
 /// macros check this once per site and do nothing when unset, so the
 /// platform libraries stay cheap in unprofiled runs and unit tests.
-[[nodiscard]] Profiler* current();
+[[nodiscard]] inline Profiler* current() { return detail::installed; }
 
 /// Installs `profiler` as the current thread's recording target for the
 /// scope's lifetime; restores the previous target on destruction. Scopes

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -79,12 +78,19 @@ class Engine {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary heap under Later (std::push_heap / std::pop_heap), so the
+  /// next event can be moved out rather than copied from a const top().
+  std::vector<Event> queue_;
   std::unordered_set<EventId> cancelled_;
   SimTime now_;
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
 
+  /// Drops cancelled events off the top of the heap; returns false when
+  /// nothing live is left.
+  bool skip_cancelled();
+  /// Removes and returns the earliest event.
+  Event pop_next();
   bool fire_next();
 };
 

@@ -86,25 +86,23 @@ std::size_t SoftwareWatchdog::add_deadline_pair(DeadlinePair pair) {
 
 void SoftwareWatchdog::indicate_aliveness(RunnableId runnable, TaskId task,
                                           sim::SimTime now) {
-  EASIS_PROFILE_SPAN("wdg.aliveness");
+  // The indication and both checks are table lookups, each cheaper than a
+  // span: the checks are counted, not timed, and the indications are the
+  // caller's rte.heartbeats (DESIGN.md §15).
   hbm_.indicate(runnable);
   recovery_.on_heartbeat(runnable);
-  {
-    EASIS_PROFILE_SPAN("wdg.pfc_check");
-    pfc_.on_execution(runnable, task, now,
-                      [this](RunnableId r, RunnableId pred, TaskId t,
-                             sim::SimTime t_now) {
-                        handle_pfc_error(r, pred, t, t_now);
-                      });
-  }
-  {
-    EASIS_PROFILE_SPAN("wdg.deadline_check");
-    deadline_.on_execution(runnable, now,
-                           [this](std::size_t pair_index,
-                                  sim::Duration measured, sim::SimTime t_now) {
-                             handle_deadline_error(pair_index, measured, t_now);
-                           });
-  }
+  EASIS_PROFILE_COUNT("wdg.pfc_check", 1);
+  pfc_.on_execution(runnable, task, now,
+                    [this](RunnableId r, RunnableId pred, TaskId t,
+                           sim::SimTime t_now) {
+                      handle_pfc_error(r, pred, t, t_now);
+                    });
+  EASIS_PROFILE_COUNT("wdg.deadline_check", 1);
+  deadline_.on_execution(runnable, now,
+                         [this](std::size_t pair_index,
+                                sim::Duration measured, sim::SimTime t_now) {
+                           handle_deadline_error(pair_index, measured, t_now);
+                         });
 }
 
 void SoftwareWatchdog::main_function(sim::SimTime now) {

@@ -2,6 +2,8 @@
 // TDMA, gateway routing, signal codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "bus/can.hpp"
@@ -10,6 +12,7 @@
 #include "bus/gateway.hpp"
 #include "bus/lin.hpp"
 #include "sim/engine.hpp"
+#include "util/random.hpp"
 
 namespace easis::bus {
 namespace {
@@ -141,6 +144,142 @@ TEST_F(CanTest, BusyFlagDuringTransmission) {
   EXPECT_EQ(bus.pending(), 0u);
 }
 
+// --- CAN arbitration property -----------------------------------------------------
+//
+// Seeded random transmit interleavings (equal ids, bursts while the bus is
+// busy, bus-off windows, a drop hook) are driven through CanBus and through
+// a reference model that arbitrates by scanning for the minimum (id, seq)
+// over every pending frame. Both must deliver the same frames to the same
+// receivers at the same times and lose the same frames.
+
+/// One delivery: (time us, receiver, id, tag), tag = payload bytes 0..1.
+using Delivery = std::tuple<std::int64_t, std::size_t, std::uint32_t, int>;
+
+int tag_of(const Frame& f) { return f.payload[0] | (f.payload[1] << 8); }
+
+/// Reference arbitration: linear scan for the lowest (id, seq) each time the
+/// medium goes idle, with CanBus's frame timing, bus-off and drop hook.
+class ReferenceCan {
+ public:
+  ReferenceCan(Engine& engine, const CanBus& timing, std::size_t endpoints,
+               std::vector<Delivery>& log)
+      : engine_(engine), timing_(timing), endpoints_(endpoints), log_(log) {}
+
+  void transmit(std::size_t from, Frame frame) {
+    pending_.push_back(Item{from, std::move(frame), seq_++});
+    try_start();
+  }
+  void set_bus_off(bool off) { bus_off_ = off; }
+  void set_drop_hook(std::function<bool(const Frame&)> hook) {
+    drop_hook_ = std::move(hook);
+  }
+  [[nodiscard]] std::uint64_t lost() const { return lost_; }
+
+ private:
+  struct Item {
+    std::size_t from;
+    Frame frame;
+    std::uint64_t seq;
+  };
+
+  void try_start() {
+    if (busy_ || pending_.empty()) return;
+    auto winner = std::min_element(
+        pending_.begin(), pending_.end(), [](const Item& a, const Item& b) {
+          return std::tie(a.frame.id, a.seq) < std::tie(b.frame.id, b.seq);
+        });
+    Item tx = *winner;
+    pending_.erase(winner);
+    busy_ = true;
+    engine_.schedule_in(timing_.frame_time(tx.frame), [this, tx] {
+      busy_ = false;
+      if (bus_off_ || (drop_hook_ && drop_hook_(tx.frame))) {
+        ++lost_;
+      } else {
+        for (std::size_t rx = 0; rx < endpoints_; ++rx) {
+          if (rx == tx.from) continue;
+          log_.emplace_back(engine_.now().as_micros(), rx, tx.frame.id,
+                            tag_of(tx.frame));
+        }
+      }
+      try_start();
+    });
+  }
+
+  Engine& engine_;
+  const CanBus& timing_;
+  std::size_t endpoints_;
+  std::vector<Delivery>& log_;
+  std::vector<Item> pending_;
+  bool busy_ = false;
+  bool bus_off_ = false;
+  std::function<bool(const Frame&)> drop_hook_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t lost_ = 0;
+};
+
+class CanArbitrationProperty : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(CanArbitrationProperty, DeliveryOrderMatchesMinIdSeqReference) {
+  constexpr std::size_t kEndpoints = 3;
+  // Few distinct ids, so equal-id FIFO order is exercised constantly.
+  const std::uint32_t kIds[] = {0x000, 0x010, 0x010, 0x123, 0x7FF};
+
+  Engine engine;
+  CanBus bus(engine, 500'000);
+  std::vector<Delivery> actual;
+  for (std::size_t e = 0; e < kEndpoints; ++e) {
+    bus.attach("e" + std::to_string(e), [&, e](const Frame& f, SimTime t) {
+      actual.emplace_back(t.as_micros(), e, f.id, tag_of(f));
+    });
+  }
+  Engine ref_engine;
+  std::vector<Delivery> expected;
+  ReferenceCan ref(ref_engine, bus, kEndpoints, expected);
+  const auto drop = [](const Frame& f) { return tag_of(f) % 11 == 0; };
+  bus.set_drop_hook(drop);
+  ref.set_drop_hook(drop);
+
+  // The same seeded script drives both models: 400 transmits over 40 ms
+  // (a ~120-260 us frame time keeps the bus contended), many at the same
+  // instant, plus bus-off windows toggled in between.
+  util::Rng rng(GetParam());
+  std::int64_t at = 0;
+  for (int tag = 0; tag < 400; ++tag) {
+    if (!rng.bernoulli(0.3)) at += rng.uniform_int(0, 200);
+    const auto from = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kEndpoints) - 1));
+    Frame f;
+    f.id = kIds[rng.uniform_int(0, 4)];
+    f.payload.assign(static_cast<std::size_t>(rng.uniform_int(2, 8)), 0);
+    f.payload[0] = static_cast<std::uint8_t>(tag & 0xFF);
+    f.payload[1] = static_cast<std::uint8_t>(tag >> 8);
+    engine.schedule_at(SimTime(at), [&bus, from, f] { bus.transmit(from, f); });
+    ref_engine.schedule_at(SimTime(at),
+                           [&ref, from, f] { ref.transmit(from, f); });
+    if (rng.bernoulli(0.02)) {
+      const bool off = rng.bernoulli(0.5);
+      engine.schedule_at(SimTime(at), [&bus, off] { bus.set_bus_off(off); });
+      ref_engine.schedule_at(SimTime(at),
+                             [&ref, off] { ref.set_bus_off(off); });
+    }
+  }
+  engine.run_all();
+  ref_engine.run_all();
+
+  EXPECT_EQ(bus.pending(), 0u);
+  EXPECT_FALSE(bus.busy());
+  EXPECT_EQ(bus.frames_lost(), ref.lost());
+  EXPECT_GT(bus.frames_lost(), 0u);
+  EXPECT_EQ(bus.frames_delivered() + bus.frames_lost(), 400u);
+  ASSERT_EQ(actual.size(), expected.size());
+  EXPECT_EQ(actual, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CanArbitrationProperty,
+                         ::testing::Values(1u, 7u, 2007u, 4242u, 99991u));
+
 // --- FlexRay --------------------------------------------------------------------
 
 class FlexRayTest : public ::testing::Test {
@@ -213,6 +352,60 @@ TEST_F(FlexRayTest, PeriodicSendEveryCycle) {
   engine.run_until(SimTime(20'000));
   EXPECT_EQ(received.size(), 4u);
   EXPECT_EQ(bus.frames_delivered(), 4u);
+}
+
+TEST_F(FlexRayTest, UnownedSlotsScheduleNoEvents) {
+  // 5 slots, one owned: a cycle schedules one slot-end event plus the
+  // next-cycle event, never one per static slot.
+  const auto tx = bus.attach("tx", nullptr);
+  bus.start();
+  EXPECT_EQ(engine.pending_events(), 1u);  // no slot owned: cycle event only
+  bus.stop();
+  engine.run_until(SimTime(5'000));
+
+  bus.assign_slot(3, tx);
+  bus.start();
+  EXPECT_EQ(engine.pending_events(), 2u);
+  engine.run_until(SimTime(20'000));
+  EXPECT_EQ(engine.pending_events(), 2u);
+  EXPECT_GE(bus.cycles_completed(), 3u);
+}
+
+TEST_F(FlexRayTest, OwnedSlotTimingUnchangedAcrossCycles) {
+  // Slots 1 and 4 of 1 ms slots end at 2 ms and 5 ms into each 5 ms cycle;
+  // the slot-4 frame lands together with the cycle boundary.
+  const auto a = bus.attach("a", nullptr);
+  const auto b = bus.attach("b", nullptr);
+  attach_rx("rx");
+  bus.assign_slot(1, a);
+  bus.assign_slot(4, b);
+  bus.start();
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    engine.schedule_at(SimTime(cycle * 5'000), [this, a, b] {
+      bus.send(a, 1, frame(0xA));
+      bus.send(b, 4, frame(0xB));
+    });
+  }
+  engine.run_until(SimTime(15'000));
+  const std::vector<std::pair<std::uint32_t, SimTime>> want = {
+      {0xA, SimTime(2'000)},  {0xB, SimTime(5'000)},
+      {0xA, SimTime(7'000)},  {0xB, SimTime(10'000)},
+      {0xA, SimTime(12'000)}, {0xB, SimTime(15'000)}};
+  EXPECT_EQ(received, want);
+}
+
+TEST_F(FlexRayTest, SlotAssignedWhileRunningCarriesFromNextCycle) {
+  const auto tx = bus.attach("tx", nullptr);
+  attach_rx("rx");
+  bus.start();
+  engine.run_until(SimTime(1'000));
+  bus.assign_slot(2, tx);
+  EXPECT_TRUE(bus.send(tx, 2, frame(0x7)));
+  engine.run_until(SimTime(10'000));
+  // Not at 3 ms (the cycle began before the slot had an owner) but at the
+  // next cycle's slot end.
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].second, SimTime(8'000));
 }
 
 TEST_F(FlexRayTest, DoubleSlotAssignmentRejected) {

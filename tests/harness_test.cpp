@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/campaign_cli.hpp"
 #include "harness/campaign_report.hpp"
 #include "harness/campaign_runner.hpp"
 #include "inject/campaign.hpp"
@@ -365,6 +366,16 @@ RunResult telemetric_run(const RunContext& ctx) {
   detected.detail = "aliveness";
   telemetry::emit(detected);
   return synthetic_run(ctx);
+}
+
+TEST(CampaignCliProfiling, RawSpanRecordsOnlyForTraceOut) {
+  harness::CampaignCli cli("prog", "", 0, 1, "", "x.csv");
+  EXPECT_FALSE(cli.config().profile);
+  cli.telemetry.profile_shape = "x.shape.csv";
+  EXPECT_TRUE(cli.config().profile);
+  EXPECT_EQ(cli.config().profile_ring_capacity, 0u);
+  cli.telemetry.trace_out = "x.trace.json";
+  EXPECT_GT(cli.config().profile_ring_capacity, 0u);
 }
 
 TEST(CampaignTelemetry, EventsAreCapturedPerRun) {

@@ -160,6 +160,23 @@ TEST(Profiler, RingOverflowDropsOldestAndCounts) {
   EXPECT_EQ(profile.nodes[0].hits, 10u);
 }
 
+TEST(Profiler, ZeroRingCapacityKeepsNoRecords) {
+  Profiler profiler(Profiler::Config{.ring_capacity = 0});
+  profiler.begin_run();
+  const NameId span = intern_name("t.no_records");
+  for (int i = 0; i < 3; ++i) {
+    profiler.push_span(span);
+    profiler.pop_span();
+  }
+  EXPECT_EQ(profiler.dropped_records(), 0u);
+  const RunProfile profile = profiler.harvest_run(0);
+  EXPECT_TRUE(profile.records.empty());
+  EXPECT_EQ(profile.dropped_records, 0u);
+  // The tree does not depend on the records.
+  ASSERT_EQ(profile.nodes.size(), 1u);
+  EXPECT_EQ(profile.nodes[0].hits, 3u);
+}
+
 // --- scopes and macros -------------------------------------------------------
 // These assert that the macros *do* record, so they only exist when the
 // instrumentation is compiled in; a -DEASIS_PROFILING=OFF tree runs the

@@ -2,7 +2,10 @@
 // parameter sweeps, using parameterized gtest suites.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "apps/monitor_hypothesis.hpp"
@@ -55,10 +58,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineDeterminism,
 
 // --- kernel schedulability property --------------------------------------------------
 
+// gtest names each case of these suites by dumping the parameter's bytes,
+// so the parameter structs carry no padding: uninitialised padding bytes
+// would make the test names differ from one build or run to the next.
 struct TaskSetParam {
-  int tasks;
+  std::int64_t tasks;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TaskSetParam>);
 
 class KernelTaskSet : public ::testing::TestWithParam<TaskSetParam> {};
 
@@ -237,7 +244,9 @@ struct SliderParam {
   double factor;
   bool expect_aliveness;
   bool expect_arrival;
+  std::array<std::uint8_t, 6> zero_tail{};  // no padding, see TaskSetParam
 };
+static_assert(sizeof(SliderParam) == sizeof(double) + 8);
 
 class SliderSweep : public ::testing::TestWithParam<SliderParam> {};
 
@@ -282,9 +291,10 @@ INSTANTIATE_TEST_SUITE_P(
 // --- watchdog soundness & completeness on random platforms -----------------------
 
 struct PlatformParam {
-  int tasks;
+  std::int64_t tasks;  // 64-bit: no padding, see TaskSetParam
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<PlatformParam>);
 
 class RandomPlatform : public ::testing::TestWithParam<PlatformParam> {
  protected:
@@ -299,7 +309,7 @@ class RandomPlatform : public ::testing::TestWithParam<PlatformParam> {
 
   /// Builds a random healthy platform: `tasks` periodic tasks with 1..3
   /// runnables each, monitors derived from the actual periods.
-  Built build(Engine& engine, util::Rng& rng, int tasks) {
+  Built build(Engine& engine, util::Rng& rng, std::int64_t tasks) {
     Built b;
     b.kernel = std::make_unique<os::Kernel>(engine);
     b.rte = std::make_unique<rte::Rte>(*b.kernel);

@@ -153,6 +153,61 @@ TEST(Engine, StepFiresExactlyOne) {
   EXPECT_EQ(engine.events_fired(), 2u);
 }
 
+/// Callable that counts how often it is copied (its copies share `copies`).
+struct CopyCounter {
+  int* copies;
+  int* calls;
+  explicit CopyCounter(int* copies_in, int* calls_in)
+      : copies(copies_in), calls(calls_in) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  void operator()() const { ++*calls; }
+};
+
+TEST(Engine, FiringMovesTheActionWithoutCopying) {
+  Engine engine;
+  int copies = 0;
+  int calls = 0;
+  // Enough other events that the scheduled one is sifted through the heap
+  // (and the heap's storage reallocates) before it fires.
+  for (int i = 0; i < 64; ++i) {
+    engine.schedule_in(Duration::micros(64 - i), [] {});
+  }
+  engine.schedule_in(Duration::micros(32), CopyCounter(&copies, &calls));
+  for (int i = 0; i < 64; ++i) {
+    engine.schedule_in(Duration::micros(i), [] {});
+  }
+  engine.run_all();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(Engine, CancelledEventsAreSkippedAmongLiveOnes) {
+  Engine engine;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10; ++i) {
+    ids.push_back(engine.schedule_at(SimTime(10 * (i % 3)),
+                                     [&order, i] { order.push_back(i); }));
+  }
+  EXPECT_TRUE(engine.cancel(ids[0]));
+  EXPECT_TRUE(engine.cancel(ids[4]));
+  EXPECT_TRUE(engine.cancel(ids[8]));
+  EXPECT_EQ(engine.pending_events(), 7u);
+  engine.run_until(SimTime(10));
+  // Time 0: 3, 6, 9 (0 cancelled); time 10: 1, 7 (4 cancelled).
+  EXPECT_EQ(order, (std::vector<int>{3, 6, 9, 1, 7}));
+  engine.run_all();
+  // Time 20: 2, 5 (8 cancelled).
+  EXPECT_EQ(order, (std::vector<int>{3, 6, 9, 1, 7, 2, 5}));
+  EXPECT_EQ(engine.events_fired(), 7u);
+}
+
 TEST(Engine, DeterministicAcrossRuns) {
   auto run = [] {
     Engine engine;
