@@ -1,13 +1,14 @@
-// Campaign harness throughput: serial vs parallel speedup.
+// Campaign harness throughput: serial vs parallel speedup, per family.
 //
-// Runs the same randomized network-fault campaign (the per-run workload
-// of exp_network_coverage, ~50 ms of simulation each) once per point of a
+// For every campaign family (network, resource, environment, mode, diag;
+// bench::campaign_families()) it runs the same randomized campaign of
+// --runs runs, the family's classes round-robin, once per point of a
 // worker sweep (1, 2, ..., --jobs) and reports wall clock, throughput and
-// speedup over the serial baseline. Because per-run seeds derive from
-// (campaign seed, run index), every sweep point computes the *same* runs —
-// the sweep measures pure harness scaling, not workload variance; the
-// bench cross-checks that by comparing each point's merged coverage CSV
-// against the serial one.
+// speedup over that family's serial point. Because per-run seeds derive
+// from (campaign seed, run index), every sweep point computes the *same*
+// runs — the sweep measures pure harness scaling, not workload variance;
+// the bench cross-checks that by comparing each point's merged coverage
+// CSV against the family's serial one.
 //
 // Speedup is bounded by the machine: on a single-core CI shell this
 // measures the harness overhead (expect ~1x); on the 4-core CI runner the
@@ -23,7 +24,7 @@
 #include <thread>
 #include <vector>
 
-#include "campaign_scenarios.hpp"
+#include "campaign_family.hpp"
 #include "harness/campaign_report.hpp"
 #include "harness/campaign_runner.hpp"
 #include "util/argparse.hpp"
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
 
   util::ArgParser parser(
       "bench_campaign_throughput",
-      "serial-vs-parallel campaign speedup on the network-fault workload");
+      "serial-vs-parallel campaign speedup on every campaign family");
   parser.add("jobs", &max_jobs, "largest worker count in the sweep");
   parser.add("seed", &seed, "campaign seed");
   parser.add("runs", &runs, "randomized injections per sweep point");
@@ -50,21 +51,15 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv, std::cerr)) return parser.exited() ? 0 : 2;
   if (max_jobs == 0) max_jobs = 1;
 
-  const bench::CampaignFamily& network = bench::network_family();
   const auto total = static_cast<std::size_t>(runs);
-  std::vector<harness::RunSpec> specs =
-      harness::CampaignRunner::make_specs(total, seed);
-  for (std::size_t i = 0; i < total; ++i) {
-    specs[i].label = network.classes[i % network.classes.size()];
-  }
-
   std::cout << "=== Campaign throughput: " << total
-            << " network-fault runs per sweep point ===\n"
-            << "jobs  wall_s     runs_per_s  speedup  deterministic\n";
+            << " runs per family and sweep point ===\n"
+            << "family       jobs  wall_s     runs_per_s  speedup  "
+               "deterministic\n";
 
   std::ofstream csv_file(csv_path);
-  util::CsvWriter csv(csv_file, {"jobs", "runs", "wall_s", "runs_per_s",
-                                 "speedup", "deterministic"});
+  util::CsvWriter csv(csv_file, {"family", "jobs", "runs", "wall_s",
+                                 "runs_per_s", "speedup", "deterministic"});
 
   // Worker sweep: 1, 2, 4, 8, ... up to --jobs (always including --jobs).
   std::vector<unsigned> sweep;
@@ -72,6 +67,7 @@ int main(int argc, char** argv) {
   sweep.push_back(max_jobs);
 
   struct SweepPoint {
+    std::string family;
     unsigned jobs;
     double wall_s;
     double runs_per_s;
@@ -80,59 +76,74 @@ int main(int argc, char** argv) {
   };
   std::vector<SweepPoint> points;
 
-  double serial_wall = 0.0;
-  std::string serial_csv;
   bool all_deterministic = true;
   double best_speedup = 0.0;
-  for (const unsigned jobs : sweep) {
-    harness::CampaignConfig config;
-    config.jobs = jobs;
-    config.seed = seed;
-    harness::CampaignRunner runner(config, network.run);
-    const harness::CampaignOutcome outcome = runner.run(specs);
-    const harness::CampaignReport report(specs, outcome);
-
-    std::ostringstream merged_csv;
-    report.write_coverage_csv(merged_csv);
-    if (jobs == 1) {
-      serial_wall = outcome.wall_seconds;
-      serial_csv = merged_csv.str();
+  for (const bench::CampaignFamily* family : bench::campaign_families()) {
+    // The family's name is the program's middle word: exp_<name>_<what>.
+    const std::string& program = family->program;
+    const std::size_t from = program.find('_') + 1;
+    const std::string label =
+        program.substr(from, program.find('_', from) - from);
+    std::vector<harness::RunSpec> specs =
+        harness::CampaignRunner::make_specs(total, seed);
+    for (std::size_t i = 0; i < total; ++i) {
+      specs[i].label = family->classes[i % family->classes.size()];
     }
-    const bool deterministic = merged_csv.str() == serial_csv;
-    all_deterministic = all_deterministic && deterministic;
-    const double speedup =
-        outcome.wall_seconds > 0.0 ? serial_wall / outcome.wall_seconds : 0.0;
-    best_speedup = std::max(best_speedup, speedup);
 
-    std::printf("%4u  %8.3f  %10.1f  %7.2fx  %s\n", jobs,
-                outcome.wall_seconds, outcome.runs_per_second(), speedup,
-                deterministic ? "yes" : "NO");
+    double serial_wall = 0.0;
+    std::string serial_csv;
+    for (const unsigned jobs : sweep) {
+      harness::CampaignConfig config;
+      config.jobs = jobs;
+      config.seed = seed;
+      harness::CampaignRunner runner(config, family->run);
+      const harness::CampaignOutcome outcome = runner.run(specs);
+      const harness::CampaignReport report(specs, outcome);
 
-    std::ostringstream wall, rps, sp;
-    wall << outcome.wall_seconds;
-    rps << outcome.runs_per_second();
-    sp << speedup;
-    csv.row({std::to_string(jobs), std::to_string(total), wall.str(),
-             rps.str(), sp.str(), deterministic ? "1" : "0"});
-    points.push_back({jobs, outcome.wall_seconds, outcome.runs_per_second(),
-                      speedup, deterministic});
+      std::ostringstream merged_csv;
+      report.write_coverage_csv(merged_csv);
+      if (jobs == 1) {
+        serial_wall = outcome.wall_seconds;
+        serial_csv = merged_csv.str();
+      }
+      const bool deterministic = merged_csv.str() == serial_csv;
+      all_deterministic = all_deterministic && deterministic;
+      const double speedup = outcome.wall_seconds > 0.0
+                                 ? serial_wall / outcome.wall_seconds
+                                 : 0.0;
+      best_speedup = std::max(best_speedup, speedup);
+
+      std::printf("%-11s  %4u  %8.3f  %10.1f  %7.2fx  %s\n", label.c_str(),
+                  jobs, outcome.wall_seconds, outcome.runs_per_second(),
+                  speedup, deterministic ? "yes" : "NO");
+
+      std::ostringstream wall, rps, sp;
+      wall << outcome.wall_seconds;
+      rps << outcome.runs_per_second();
+      sp << speedup;
+      csv.row({label, std::to_string(jobs), std::to_string(total),
+               wall.str(), rps.str(), sp.str(), deterministic ? "1" : "0"});
+      points.push_back({label, jobs, outcome.wall_seconds,
+                        outcome.runs_per_second(), speedup, deterministic});
+    }
   }
 
-  // Machine-readable sweep summary: one data point per worker count, the
-  // format the trend tooling tracks across commits (results/ keeps the
-  // committed reference points).
+  // Machine-readable sweep summary: one data point per family and worker
+  // count, the format the trend tooling tracks across commits (results/
+  // keeps the committed reference points).
   if (!json_path.empty()) {
     const unsigned host_cpus = std::thread::hardware_concurrency();
     std::ofstream json(json_path);
     json << "{\n"
          << "  \"bench\": \"campaign_throughput\",\n"
-         << "  \"workload\": \"network-fault campaign\",\n"
+         << "  \"workload\": \"every campaign family\",\n"
          << "  \"runs_per_point\": " << total << ",\n"
          << "  \"seed\": " << seed << ",\n"
          << "  \"points\": [\n";
     for (std::size_t i = 0; i < points.size(); ++i) {
       const SweepPoint& p = points[i];
-      json << "    {\"jobs\": " << p.jobs << ", \"wall_s\": " << p.wall_s
+      json << "    {\"family\": \"" << p.family << "\", \"jobs\": " << p.jobs
+           << ", \"wall_s\": " << p.wall_s
            << ", \"runs_per_s\": " << p.runs_per_s
            << ", \"speedup\": " << p.speedup << ", \"deterministic\": "
            << (p.deterministic ? "true" : "false")

@@ -3,10 +3,11 @@
 // One benchmark per per-run hot-path primitive the campaign profiler
 // attributes cost to: the sim::Engine step loop, CAN arbitration over a
 // pending backlog, one FlexRay cycle, telemetry event-bus publication, the
-// HBM window check, the PFC pair lookup, SignalBus enqueue/drain, and DTC
-// store insertion — plus the profiler's own span overhead (installed, with
-// and without raw records, and uninstalled), so the <5% campaign-overhead
-// budget has a per-site number behind it.
+// HBM window check, the PFC pair lookup, SignalBus enqueue/drain, DTC
+// store insertion and an overflowing fault-memory persist — plus the
+// profiler's own span overhead (installed, with and without raw records,
+// and uninstalled), so the <5% campaign-overhead budget has a per-site
+// number behind it.
 //
 // google-benchmark binary with a custom main: --json <path> additionally
 // writes a single machine-readable snapshot object (ns/op per benchmark),
@@ -23,12 +24,17 @@
 #include "bus/can.hpp"
 #include "bus/flexray.hpp"
 #include "fmf/dtc.hpp"
+#include "fmf/fmf.hpp"
+#include "fmf/nvm.hpp"
+#include "os/kernel.hpp"
 #include "profile/profiler.hpp"
+#include "rte/rte.hpp"
 #include "rte/signal_bus.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/event_bus.hpp"
 #include "wdg/heartbeat.hpp"
 #include "wdg/pfc.hpp"
+#include "wdg/watchdog.hpp"
 
 using namespace easis;
 
@@ -206,6 +212,46 @@ void BM_DtcStoreInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DtcStoreInsert);
+
+/// FMF persist() into a 1536-byte bank overflowed by 60 DTCs carrying the
+/// environment freeze-frame signals (the flash_fill class): one call pays
+/// every commit attempt of the eviction ladder until the image fits.
+void BM_NvmPersistOverflow(benchmark::State& state) {
+  sim::Engine engine;
+  os::Kernel kernel(engine);
+  rte::Rte rte(kernel);
+  wdg::SoftwareWatchdog watchdog{wdg::WatchdogConfig{}};
+  rte::SignalBus signals;
+  const std::vector<std::string> frame_signals = {
+      "vehicle.speed_kmh",       "driver.demand",
+      "safespeed.max_speed_kmh", "env.ecu.temp_c",
+      "env.ecu.stage",           "env.faultmem.fill.level",
+      "env.faultmem.wear.level"};
+  for (const std::string& name : frame_signals) {
+    signals.publish(name, 42.0, sim::SimTime(0));
+  }
+  fmf::DtcStore dtcs(signals, frame_signals);
+  fmf::FaultManagementFramework fmf(rte, watchdog, [] {});
+  fmf::NvmStore nvm(1536);
+  fmf.attach_dtc_store(&dtcs);
+  fmf.attach_nvm(&nvm);
+  wdg::ErrorReport report;
+  report.type = wdg::ErrorType::kFilesystem;
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    report.application = ApplicationId(i);
+    report.time = sim::SimTime(1000 * (i + 1));
+    dtcs.record(report);
+  }
+  for (auto _ : state) {
+    fmf.persist();
+  }
+  benchmark::DoNotOptimize(nvm.commits());
+  state.counters["evictions_per_persist"] =
+      static_cast<double>(fmf.nvm_evictions()) /
+      static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NvmPersistOverflow);
 
 /// Profiler span cost with a profiler installed and no raw records (what
 /// an instrumented site pays inside a campaign profiled without

@@ -59,6 +59,10 @@ class DtcStore {
 
   [[nodiscard]] const DtcEntry* entry(const DtcKey& key) const;
   [[nodiscard]] std::vector<DtcEntry> entries() const;
+  /// The entries in key order, without copying them.
+  [[nodiscard]] const std::map<DtcKey, DtcEntry>& by_key() const {
+    return entries_;
+  }
   [[nodiscard]] std::size_t count() const { return entries_.size(); }
   [[nodiscard]] std::size_t active_count() const;
   [[nodiscard]] std::size_t max_entries() const { return max_entries_; }

@@ -457,8 +457,9 @@ void FaultManagementFramework::persist() {
   image.storm_latched = storm_latched_;
   image.reset_history = reset_history_;
   if (dtc_store_ != nullptr) {
-    for (const DtcEntry& entry : dtc_store_->entries()) {
-      image.dtcs.push_back(PersistedDtc{entry.key, entry.occurrences,
+    image.dtcs.reserve(dtc_store_->count());
+    for (const auto& [key, entry] : dtc_store_->by_key()) {
+      image.dtcs.push_back(PersistedDtc{key, entry.occurrences,
                                         entry.first_seen, entry.last_seen,
                                         entry.active, entry.freeze_frame});
     }
@@ -467,29 +468,44 @@ void FaultManagementFramework::persist() {
     image.transgressions = transgression_snapshot_();
   }
   if (power_mode_snapshot_) image.power_mode = power_mode_snapshot_();
+  // One size walk; every eviction lowers the running count by what it
+  // freed, so each retry is a size check, not a walk over the image.
+  std::size_t bytes = payload_bytes(image);
   std::uint32_t overflows_seen = nvm_->overflows();
-  while (!nvm_->commit(image)) {
+  while (!nvm_->commit(image, bytes)) {
     const bool capacity = nvm_->overflows() > overflows_seen;
     overflows_seen = nvm_->overflows();
     if (!capacity) {
       // Wear-out or transient write fault: nothing to evict will help.
+      // A worn bank fails every persist, so only the onset is logged.
       ++nvm_write_failures_;
-      EASIS_LOG(util::LogLevel::kError, kLog)
-          << "NVM commit failed: write error (flash wear or fault)";
+      if (!nvm_write_failing_) {
+        nvm_write_failing_ = true;
+        EASIS_LOG(util::LogLevel::kError, kLog)
+            << "NVM commits failing: write error (flash wear or fault)";
+      }
       return;
     }
     // Flash full: degrade gracefully, lowest-priority entry first.
-    if (!evict_one(image)) {
+    const std::size_t freed = evict_one(image);
+    if (freed == 0) {
       EASIS_LOG(util::LogLevel::kError, kLog)
           << "NVM commit failed: image exceeds bank capacity even after "
           << "evicting all expendable fault-memory entries";
       return;
     }
+    bytes -= freed;
     ++nvm_evictions_;
+  }
+  if (nvm_write_failing_) {
+    nvm_write_failing_ = false;
+    EASIS_LOG(util::LogLevel::kWarn, kLog)
+        << "NVM commits recovered after " << nvm_write_failures_
+        << " lost commit(s) in total";
   }
 }
 
-bool FaultManagementFramework::evict_one(NvmImage& image) {
+std::size_t FaultManagementFramework::evict_one(NvmImage& image) {
   // Eviction ladder (lowest priority first). The reset-cause chain's
   // newest entry and the transgression records are never dropped: they
   // explain why the ECU is in the state it is in.
@@ -518,23 +534,27 @@ bool FaultManagementFramework::evict_one(NvmImage& image) {
       }
     }
     if (best < image.dtcs.size()) {
-      image.dtcs[best].freeze_frame.reset();
-      return true;
+      PersistedDtc& dtc = image.dtcs[best];
+      const std::size_t with_frame = payload_bytes(dtc);
+      dtc.freeze_frame.reset();
+      return with_frame - payload_bytes(dtc);
     }
     const std::size_t victim = oldest_dtc(active);
     if (victim < image.dtcs.size()) {
+      const std::size_t freed = payload_bytes(image.dtcs[victim]);
       image.dtcs.erase(image.dtcs.begin() +
                        static_cast<std::ptrdiff_t>(victim));
-      return true;
+      return freed;
     }
   }
   // Last resort: trim the reset history down to the newest entry — the
   // reset-cause chain must keep at least the most recent decision.
   if (image.reset_history.size() > 1) {
+    const std::size_t freed = payload_bytes(image.reset_history.front());
     image.reset_history.erase(image.reset_history.begin());
-    return true;
+    return freed;
   }
-  return false;
+  return 0;
 }
 
 void FaultManagementFramework::boot_from_nvm(sim::SimTime now) {

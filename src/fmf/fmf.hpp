@@ -247,6 +247,8 @@ class FaultManagementFramework {
   NvmStore* nvm_ = nullptr;
   std::uint32_t nvm_evictions_ = 0;
   std::uint32_t nvm_write_failures_ = 0;
+  /// The last persist() hit a write error: logs only the transitions.
+  bool nvm_write_failing_ = false;
   std::function<std::vector<wdg::TransgressionRecord>()>
       transgression_snapshot_;
   std::function<void(const std::vector<wdg::TransgressionRecord>&)>
@@ -269,7 +271,9 @@ class FaultManagementFramework {
   void restart_application(ApplicationId app, sim::SimTime now);
   void terminate_application(ApplicationId app, sim::SimTime now);
   void clear_monitoring_state(ApplicationId app, sim::SimTime now);
-  bool evict_one(NvmImage& image);
+  /// Evicts the lowest-priority entry; returns the payload bytes it freed
+  /// (0 when nothing expendable is left).
+  std::size_t evict_one(NvmImage& image);
   void latch_storm(const ResetCause& cause, sim::SimTime now);
   void record_reset_cause(ResetCause cause);
   [[nodiscard]] std::uint32_t recent_resets(sim::SimTime now) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "util/crc8.hpp"
 
@@ -15,37 +16,53 @@ namespace {
 constexpr std::uint32_t kMagic = 0x455A4E56;  // "EZNV"
 constexpr std::size_t kHeaderBytes = 13;
 
-class Writer {
+// Image encoding is one walk (encode_image) over two sinks: ByteCounter
+// sizes the payload without touching memory, BankWriter writes it straight
+// into a bank. Sharing the walk keeps payload_bytes() and the bytes
+// written in lockstep by construction.
+
+class ByteCounter {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t) { bytes_ += 1; }
+  void u16(std::uint16_t) { bytes_ += 2; }
+  void u32(std::uint32_t) { bytes_ += 4; }
+  void i64(std::int64_t) { bytes_ += 8; }
+  void f64(double) { bytes_ += 8; }
+  void str(const std::string& s) { bytes_ += 2 + s.size(); }
+  [[nodiscard]] std::size_t bytes() const { return bytes_; }
+
+ private:
+  std::size_t bytes_ = 0;
+};
+
+/// Little-endian writer into memory the caller has sized with ByteCounter.
+class BankWriter {
+ public:
+  explicit BankWriter(std::uint8_t* out) : out_(out) {}
+
+  void u8(std::uint8_t v) { *out_++ = v; }
+  void u16(std::uint16_t v) { put(v, 2); }
+  void u32(std::uint32_t v) { put(v, 4); }
+  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v), 8); }
   void f64(double v) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
+    put(bits, 8);
   }
   void str(const std::string& s) {
     u16(static_cast<std::uint16_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-  }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
-    return bytes_;
+    std::memcpy(out_, s.data(), s.size());
+    out_ += s.size();
   }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  std::uint8_t* out_;
+
+  void put(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      *out_++ = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
 };
 
 class Reader {
@@ -98,36 +115,43 @@ class Reader {
   bool ok_ = true;
 };
 
-void serialize_image(const NvmImage& image, Writer& w) {
+template <typename Sink>
+void encode_cause(const ResetCause& cause, Sink& w) {
+  w.u8(static_cast<std::uint8_t>(cause.source));
+  w.u32(cause.task.valid() ? cause.task.value() : ~0u);
+  w.u32(cause.application.valid() ? cause.application.value() : ~0u);
+  w.u8(static_cast<std::uint8_t>(cause.error));
+  w.i64(cause.time.as_micros());
+  w.str(cause.detail);
+}
+
+template <typename Sink>
+void encode_dtc(const PersistedDtc& dtc, Sink& w) {
+  w.u32(dtc.key.application.valid() ? dtc.key.application.value() : ~0u);
+  w.u8(static_cast<std::uint8_t>(dtc.key.type));
+  w.u32(dtc.occurrences);
+  w.i64(dtc.first_seen.as_micros());
+  w.i64(dtc.last_seen.as_micros());
+  w.u8(dtc.active ? 1 : 0);
+  w.u8(dtc.freeze_frame ? 1 : 0);
+  if (dtc.freeze_frame) {
+    w.i64(dtc.freeze_frame->captured_at.as_micros());
+    w.u16(static_cast<std::uint16_t>(dtc.freeze_frame->signals.size()));
+    for (const auto& [name, value] : dtc.freeze_frame->signals) {
+      w.str(name);
+      w.f64(value);
+    }
+  }
+}
+
+template <typename Sink>
+void encode_image(const NvmImage& image, Sink& w) {
   w.u32(image.reset_count);
   w.u8(image.storm_latched ? 1 : 0);
   w.u16(static_cast<std::uint16_t>(image.reset_history.size()));
-  for (const ResetCause& cause : image.reset_history) {
-    w.u8(static_cast<std::uint8_t>(cause.source));
-    w.u32(cause.task.valid() ? cause.task.value() : ~0u);
-    w.u32(cause.application.valid() ? cause.application.value() : ~0u);
-    w.u8(static_cast<std::uint8_t>(cause.error));
-    w.i64(cause.time.as_micros());
-    w.str(cause.detail);
-  }
+  for (const ResetCause& cause : image.reset_history) encode_cause(cause, w);
   w.u16(static_cast<std::uint16_t>(image.dtcs.size()));
-  for (const PersistedDtc& dtc : image.dtcs) {
-    w.u32(dtc.key.application.valid() ? dtc.key.application.value() : ~0u);
-    w.u8(static_cast<std::uint8_t>(dtc.key.type));
-    w.u32(dtc.occurrences);
-    w.i64(dtc.first_seen.as_micros());
-    w.i64(dtc.last_seen.as_micros());
-    w.u8(dtc.active ? 1 : 0);
-    w.u8(dtc.freeze_frame ? 1 : 0);
-    if (dtc.freeze_frame) {
-      w.i64(dtc.freeze_frame->captured_at.as_micros());
-      w.u16(static_cast<std::uint16_t>(dtc.freeze_frame->signals.size()));
-      for (const auto& [name, value] : dtc.freeze_frame->signals) {
-        w.str(name);
-        w.f64(value);
-      }
-    }
-  }
+  for (const PersistedDtc& dtc : image.dtcs) encode_dtc(dtc, w);
   w.u16(static_cast<std::uint16_t>(image.transgressions.size()));
   for (const wdg::TransgressionRecord& record : image.transgressions) {
     w.str(record.section);
@@ -254,11 +278,31 @@ NvmStore::NvmStore(std::size_t bank_capacity) : capacity_(bank_capacity) {
   banks_[1].assign(capacity_, 0);
 }
 
+std::size_t payload_bytes(const NvmImage& image) {
+  ByteCounter counter;
+  encode_image(image, counter);
+  return counter.bytes();
+}
+
+std::size_t payload_bytes(const PersistedDtc& dtc) {
+  ByteCounter counter;
+  encode_dtc(dtc, counter);
+  return counter.bytes();
+}
+
+std::size_t payload_bytes(const ResetCause& cause) {
+  ByteCounter counter;
+  encode_cause(cause, counter);
+  return counter.bytes();
+}
+
 bool NvmStore::commit(const NvmImage& image) {
-  Writer w;
-  serialize_image(image, w);
-  const std::vector<std::uint8_t>& payload = w.bytes();
-  if (kHeaderBytes + payload.size() > capacity_) {
+  return commit(image, payload_bytes(image));
+}
+
+bool NvmStore::commit(const NvmImage& image, std::size_t payload) {
+  // Size first: a rejected commit costs a size check, never a write.
+  if (kHeaderBytes + payload > capacity_) {
     ++overflows_;
     return false;
   }
@@ -272,17 +316,23 @@ bool NvmStore::commit(const NvmImage& image) {
     ++write_errors_;
     return false;
   }
+  if (payload_bytes(image) != payload) {
+    throw std::invalid_argument("NvmStore::commit: payload size is stale");
+  }
   std::vector<std::uint8_t>& bank = banks_[target];
-  bank.assign(capacity_, 0);
   write_u32_at(bank, 0, kMagic);
   write_u32_at(bank, 4, ++sequence_);
-  write_u32_at(bank, 8, static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(bank.data() + kHeaderBytes, payload.data(), payload.size());
-  bank[12] = bank_crc(bank, payload.size());
+  write_u32_at(bank, 8, static_cast<std::uint32_t>(payload));
+  BankWriter writer(bank.data() + kHeaderBytes);
+  encode_image(image, writer);
+  // The tail past the payload reads erased, as after a full bank erase.
+  std::fill(bank.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + payload),
+            bank.end(), std::uint8_t{0});
+  bank[12] = bank_crc(bank, payload);
   active_ = target;  // flip only after the full write
   ++commits_;
   ++erase_cycles_[target];
-  last_image_bytes_ = payload.size();
+  last_image_bytes_ = payload;
   return true;
 }
 

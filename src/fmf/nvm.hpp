@@ -107,6 +107,14 @@ struct NvmImage {
 /// Reset events retained in the history ring.
 inline constexpr std::size_t kResetHistoryDepth = 16;
 
+/// Serialised size of `image` in bytes (bank header excluded): what a
+/// commit of it writes, computed without writing anything.
+[[nodiscard]] std::size_t payload_bytes(const NvmImage& image);
+/// The bytes one DTC entry (freeze frame included) or one reset cause
+/// adds to its image's payload.
+[[nodiscard]] std::size_t payload_bytes(const PersistedDtc& dtc);
+[[nodiscard]] std::size_t payload_bytes(const ResetCause& cause);
+
 class NvmStore {
  public:
   struct LoadResult {
@@ -122,8 +130,15 @@ class NvmStore {
   /// Returns false (and leaves the store untouched) if the image does not
   /// fit the bank capacity (counted as an overflow), if the target bank
   /// has worn out its erase-cycle budget, or if an injected write fault
-  /// is pending (both counted as write errors).
+  /// is pending (both counted as write errors), checked in that order.
+  /// A rejected commit costs a payload_bytes() walk; only a commit that
+  /// succeeds serialises, once, straight into the target bank.
   bool commit(const NvmImage& image);
+  /// The same with the size already known: `payload` must equal
+  /// payload_bytes(image), so a caller that shrinks an image step by step
+  /// can keep a running count. A commit that is about to write re-checks
+  /// it and throws std::invalid_argument on a mismatch, before any write.
+  bool commit(const NvmImage& image, std::size_t payload);
 
   /// Validates both banks and deserialises the newest valid image.
   [[nodiscard]] LoadResult load() const;
@@ -156,6 +171,11 @@ class NvmStore {
   // --- introspection -----------------------------------------------------------
   [[nodiscard]] std::size_t bank_capacity() const { return capacity_; }
   [[nodiscard]] std::size_t active_bank() const { return active_; }
+  /// Raw content of one bank (a flash dump).
+  [[nodiscard]] const std::vector<std::uint8_t>& bank(
+      std::size_t index) const {
+    return banks_[index % 2];
+  }
   [[nodiscard]] std::uint32_t commits() const { return commits_; }
   [[nodiscard]] std::uint32_t overflows() const { return overflows_; }
   [[nodiscard]] std::uint32_t write_errors() const { return write_errors_; }

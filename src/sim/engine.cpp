@@ -14,7 +14,7 @@ EventId Engine::schedule_at(SimTime at, Action action, EventPriority priority) {
   }
   const EventId id = next_id_++;
   queue_.push_back(
-      Event{at, static_cast<int>(priority), id, std::move(action)});
+      Event{at, static_cast<int>(priority), false, id, std::move(action)});
   std::push_heap(queue_.begin(), queue_.end(), Later{});
   return id;
 }
@@ -28,9 +28,15 @@ EventId Engine::schedule_in(Duration delay, Action action,
 }
 
 bool Engine::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  // Lazy cancellation: remember the id; skip it when popped.
-  return cancelled_.insert(id).second;
+  // Tombstone in place: the heap order of every other event is untouched,
+  // so cancelling never changes which live event fires next.
+  const auto it = std::find_if(queue_.begin(), queue_.end(),
+                               [id](const Event& ev) { return ev.id == id; });
+  if (it == queue_.end() || it->cancelled) return false;
+  it->cancelled = true;
+  it->action = nullptr;
+  ++tombstones_;
+  return true;
 }
 
 Engine::Event Engine::pop_next() {
@@ -41,13 +47,9 @@ Engine::Event Engine::pop_next() {
 }
 
 bool Engine::skip_cancelled() {
-  // Lazy cancellation: a cancelled id is dropped when it reaches the top.
-  // No lookup at all while nothing is cancelled (the common case).
-  while (!queue_.empty() && !cancelled_.empty()) {
-    const auto it = cancelled_.find(queue_.front().id);
-    if (it == cancelled_.end()) break;
-    cancelled_.erase(it);
+  while (tombstones_ > 0 && queue_.front().cancelled) {
     pop_next();
+    --tombstones_;
   }
   return !queue_.empty();
 }
@@ -83,10 +85,6 @@ void Engine::run_all() {
   while (fire_next()) {
   }
   EASIS_PROFILE_COUNT("sim.events_fired", fired_ - fired_before);
-}
-
-std::size_t Engine::pending_events() const {
-  return queue_.size() - cancelled_.size();
 }
 
 }  // namespace easis::sim

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -45,7 +44,10 @@ class Engine {
   EventId schedule_in(Duration delay, Action action,
                       EventPriority priority = EventPriority::kDefault);
 
-  /// Cancels a pending event. Returns false if already fired or cancelled.
+  /// Cancels a pending event and releases its action. Returns false if the
+  /// event already fired (or is firing), was already cancelled, or is
+  /// unknown. O(pending events): a linear scan, since cancels are rare
+  /// next to the events fired.
   bool cancel(EventId id);
 
   /// Runs the next event. Returns false if the queue is empty.
@@ -60,13 +62,18 @@ class Engine {
   /// Drains the whole queue (use only in tests with finite event sets).
   void run_all();
 
-  [[nodiscard]] std::size_t pending_events() const;
+  /// Events still to fire (cancelled ones excluded).
+  [[nodiscard]] std::size_t pending_events() const {
+    return queue_.size() - tombstones_;
+  }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
  private:
   struct Event {
     SimTime at;
     int priority;
+    /// Tombstone: cancelled while pending, dropped when it reaches the top.
+    bool cancelled = false;
     EventId id;  // also the insertion sequence number
     Action action;
   };
@@ -81,12 +88,13 @@ class Engine {
   /// Binary heap under Later (std::push_heap / std::pop_heap), so the
   /// next event can be moved out rather than copied from a const top().
   std::vector<Event> queue_;
-  std::unordered_set<EventId> cancelled_;
+  /// Cancelled events still in queue_.
+  std::size_t tombstones_ = 0;
   SimTime now_;
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
 
-  /// Drops cancelled events off the top of the heap; returns false when
+  /// Drops tombstones off the top of the heap; returns false when
   /// nothing live is left.
   bool skip_cancelled();
   /// Removes and returns the earliest event.

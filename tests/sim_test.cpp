@@ -2,6 +2,7 @@
 // and lane environment models.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -100,6 +101,59 @@ TEST(Engine, CancelUnknownIdFails) {
   Engine engine;
   EXPECT_FALSE(engine.cancel(0));
   EXPECT_FALSE(engine.cancel(999));
+}
+
+TEST(Engine, CancelAfterFiringFailsAndKeepsCountExact) {
+  Engine engine;
+  const EventId id = engine.schedule_at(SimTime(10), [] {});
+  engine.run_all();
+  EXPECT_FALSE(engine.cancel(id));
+  EXPECT_EQ(engine.pending_events(), 0u);
+  engine.schedule_at(SimTime(20), [] {});
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_all();
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.events_fired(), 2u);
+}
+
+TEST(Engine, CancelTwiceFailsTheSecondTime) {
+  Engine engine;
+  const EventId id = engine.schedule_at(SimTime(10), [] {});
+  engine.schedule_at(SimTime(20), [] {});
+  EXPECT_TRUE(engine.cancel(id));
+  EXPECT_FALSE(engine.cancel(id));
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_all();
+  EXPECT_EQ(engine.pending_events(), 0u);
+  EXPECT_EQ(engine.events_fired(), 1u);
+}
+
+TEST(Engine, CancelFromInsideAnAction) {
+  Engine engine;
+  bool later_fired = false;
+  EventId self = 0;
+  bool cancelled_self = true;
+  bool cancelled_later = false;
+  const EventId later =
+      engine.schedule_at(SimTime(20), [&] { later_fired = true; });
+  self = engine.schedule_at(SimTime(10), [&] {
+    cancelled_self = engine.cancel(self);  // already firing: not pending
+    cancelled_later = engine.cancel(later);
+  });
+  engine.run_all();
+  EXPECT_FALSE(cancelled_self);
+  EXPECT_TRUE(cancelled_later);
+  EXPECT_FALSE(later_fired);
+  EXPECT_EQ(engine.pending_events(), 0u);
+}
+
+TEST(Engine, CancelReleasesTheActionImmediately) {
+  Engine engine;
+  auto token = std::make_shared<int>(0);
+  const EventId id = engine.schedule_at(SimTime(10), [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(engine.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Engine, RunUntilAdvancesClockEvenWithoutEvents) {
