@@ -1,7 +1,8 @@
 // Hot-path micro-benchmarks (DESIGN.md §15, ROADMAP item 2).
 //
 // One benchmark per per-run hot-path primitive the campaign profiler
-// attributes cost to: the sim::Engine step loop, CAN arbitration over a
+// attributes cost to: the sim::Engine step loop and its heap under N
+// periodic events, the kernel's 1 ms counter tick, CAN arbitration over a
 // pending backlog, one FlexRay cycle, telemetry event-bus publication, the
 // HBM window check, the PFC pair lookup, SignalBus enqueue/drain, DTC
 // store insertion and an overflowing fault-memory persist — plus the
@@ -69,6 +70,73 @@ void BM_EngineStepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineStepLoop);
+
+/// N periodic self-rescheduling events with spread periods, so every fire
+/// reorders a heap of N keys, plus one cancel (and re-arm) of another event
+/// per 64 fires: the engine under the load a supervised ECU puts on it.
+/// BM_EngineStepLoop's one-event heap never pays the reordering.
+class EngineQueueLoad {
+ public:
+  explicit EngineQueueLoad(std::size_t n) : ids_(n) {
+    for (std::size_t i = 0; i < n; ++i) arm(i);
+  }
+  sim::Engine& engine() { return engine_; }
+
+ private:
+  sim::Engine engine_;
+  std::vector<sim::EventId> ids_;
+  std::uint64_t fired_ = 0;
+
+  // Periods 100..1096 us in steps of 37 us (mod 997), spread over the ids.
+  static sim::Duration period(std::size_t i) {
+    return sim::Duration::micros(100 + static_cast<std::int64_t>(i * 37 % 997));
+  }
+  void arm(std::size_t i) {
+    // [this, i] is 16 trivially copyable bytes: std::function keeps it
+    // inline, so the benchmark measures the engine, not the allocator.
+    ids_[i] = engine_.schedule_in(period(i), [this, i] { fire(i); });
+  }
+  void fire(std::size_t i) {
+    arm(i);
+    if (++fired_ % 64 != 0) return;
+    const std::size_t victim = (i + ids_.size() / 2 + 1) % ids_.size();
+    if (victim != i && engine_.cancel(ids_[victim])) arm(victim);
+  }
+};
+
+void BM_EngineQueue(benchmark::State& state) {
+  EngineQueueLoad load(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    load.engine().step();
+  }
+  benchmark::DoNotOptimize(load.engine().events_fired());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineQueue)->Arg(16)->Arg(256);
+
+/// Kernel 1 ms hardware counter with 8 cyclic callback alarms (periods
+/// 10..80 ticks, so nine ticks in ten expire none): per iteration one
+/// counter-tick event (schedule + fire) and the alarm scan it drives.
+void BM_KernelCounterTick(benchmark::State& state) {
+  sim::Engine engine;
+  os::Kernel kernel(engine);
+  const CounterId counter = kernel.create_counter(os::CounterConfig{});
+  std::uint64_t expiries = 0;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const AlarmId alarm = kernel.create_alarm(
+        counter, os::AlarmActionCallback{[&expiries] { ++expiries; }});
+    kernel.set_rel_alarm(alarm, 10 * (i + 1), 10 * (i + 1));
+  }
+  kernel.start();
+  for (auto _ : state) {
+    engine.run_for(sim::Duration::millis(1));
+  }
+  benchmark::DoNotOptimize(expiries);
+  state.counters["expiries_per_tick"] =
+      static_cast<double>(expiries) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KernelCounterTick);
 
 /// CAN arbitration with a backlog of N pending frames: per iteration one
 /// transmit joins the queue and one frame completes, which delivers it and

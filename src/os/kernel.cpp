@@ -541,18 +541,22 @@ void Kernel::drive_counter(CounterId id, std::uint32_t epoch) {
       [this, id, epoch] {
         if (epoch != reset_epoch_ || !started_) return;
         Section section(*this);
-        counter_tick(counters_[id.value()], id);
+        counter_tick(id);
         drive_counter(id, epoch);
       },
       sim::EventPriority::kKernel);
 }
 
-void Kernel::counter_tick(Counter& counter, CounterId id) {
-  (void)id;
-  ++counter.ticks;
-  // Snapshot: an alarm action may attach further alarms to this counter.
-  const std::vector<AlarmId> armed_now = counter.alarms;
-  for (AlarmId alarm_id : armed_now) {
+void Kernel::counter_tick(CounterId id) {
+  ++counters_[id.value()].ticks;
+  // Alarms are only ever appended, so the count taken on entry is exactly
+  // the alarms that existed before this tick: one an action creates waits
+  // for the next tick. Actions may create counters and alarms, so both
+  // tables are re-indexed on each pass and no reference outlives an action.
+  const std::size_t attached = counters_[id.value()].alarms.size();
+  for (std::size_t i = 0; i < attached; ++i) {
+    const Counter& counter = counters_[id.value()];
+    const AlarmId alarm_id = counter.alarms[i];
     Alarm& a = alarms_[alarm_id.value()];
     if (!a.armed || a.expiry_tick != counter.ticks) continue;
     if (a.cycle_ticks > 0) {
@@ -560,11 +564,13 @@ void Kernel::counter_tick(Counter& counter, CounterId id) {
     } else {
       a.armed = false;
     }
-    fire_alarm(a);
+    fire_alarm(alarm_id);
   }
 }
 
-void Kernel::fire_alarm(Alarm& alarm) {
+void Kernel::fire_alarm(AlarmId id) {
+  // alarms_ is a deque, so the callback being run stays put even if it
+  // creates further alarms.
   std::visit(
       [this](const auto& action) {
         using T = std::decay_t<decltype(action)>;
@@ -576,7 +582,7 @@ void Kernel::fire_alarm(Alarm& alarm) {
           if (action.callback) action.callback();
         }
       },
-      alarm.action);
+      alarms_[id.value()].action);
 }
 
 Status Kernel::increment_counter(CounterId counter) {
@@ -588,7 +594,7 @@ Status Kernel::increment_counter(CounterId counter) {
   if (c.config.hardware_driven) {
     return fail(Status::kAccess, "IncrementCounter");
   }
-  counter_tick(c, counter);
+  counter_tick(counter);
   return Status::kOk;
 }
 
@@ -686,8 +692,15 @@ void Kernel::add_observer(KernelObserver* observer) {
 }
 
 void Kernel::remove_observer(KernelObserver* observer) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
-                   observers_.end());
+  // During a notification the entry is only nulled, so the loop's indices
+  // stay valid; the outermost notification erases it (NotifyScope).
+  std::replace(observers_.begin(), observers_.end(), observer,
+               static_cast<KernelObserver*>(nullptr));
+  if (notify_depth_ == 0) {
+    std::erase(observers_, nullptr);
+  } else {
+    prune_observers_ = true;
+  }
 }
 
 const std::string& Kernel::task_name(TaskId task) const {

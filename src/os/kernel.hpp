@@ -283,7 +283,8 @@ class Kernel {
   std::vector<std::unique_ptr<Tcb>> tasks_;
   std::vector<Resource> resources_;
   std::vector<Counter> counters_;
-  std::vector<Alarm> alarms_;
+  /// A deque, so an alarm callback stays put while it creates alarms.
+  std::deque<Alarm> alarms_;
   // Ready queues: highest priority first, FIFO within a priority.
   std::map<Priority, std::deque<TaskId>, std::greater<Priority>> ready_;
   TaskId running_;
@@ -303,6 +304,9 @@ class Kernel {
   std::function<void(TaskId)> post_task_hook_;
   std::function<void(Status, std::string_view)> error_hook_;
   std::vector<KernelObserver*> observers_;
+  int notify_depth_ = 0;
+  /// remove_observer() nulled an entry during a notification.
+  bool prune_observers_ = false;
 
   [[nodiscard]] Tcb* tcb(TaskId id);
   [[nodiscard]] const Tcb* tcb(TaskId id) const;
@@ -325,14 +329,37 @@ class Kernel {
   void build_job(Tcb& t);
   void release_all_resources(Tcb& t);
   void drive_counter(CounterId id, std::uint32_t epoch);
-  void counter_tick(Counter& counter, CounterId id);
-  void fire_alarm(Alarm& alarm);
+  void counter_tick(CounterId id);
+  void fire_alarm(AlarmId id);
+
+  /// Counts nested notifications; the outermost one erases the entries
+  /// that remove_observer() nulled meanwhile.
+  class NotifyScope {
+   public:
+    explicit NotifyScope(Kernel& k) : kernel_(k) { ++kernel_.notify_depth_; }
+    ~NotifyScope() {
+      if (--kernel_.notify_depth_ == 0 && kernel_.prune_observers_) {
+        std::erase(kernel_.observers_, nullptr);
+        kernel_.prune_observers_ = false;
+      }
+    }
+    NotifyScope(const NotifyScope&) = delete;
+    NotifyScope& operator=(const NotifyScope&) = delete;
+
+   private:
+    Kernel& kernel_;
+  };
 
   template <typename Fn>
   void notify(Fn&& fn) {
-    // Copy: observers may unsubscribe from within a callback.
-    auto observers = observers_;
-    for (auto* o : observers) fn(*o);
+    // By index over the count taken on entry, without a copy: an observer
+    // added by a callback is first called on the next notification, and
+    // one removed by a callback (nulled) gets no further callbacks.
+    NotifyScope scope(*this);
+    const std::size_t count = observers_.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      if (KernelObserver* o = observers_[i]) fn(*o);
+    }
   }
 };
 

@@ -4,16 +4,25 @@
 // sequence) order so the same configuration always produces the same trace —
 // the property that lets the bench binaries regenerate the paper's figures
 // bit-for-bit.
+//
+// Cost model (DESIGN.md §6): the heap holds 24-byte trivially copyable keys
+// and the actions sit in a reused slot table, so once the table has grown
+// the engine allocates nothing per event, and cancel is O(1).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace easis::sim {
 
+/// Names a scheduled event: (generation << 32) | (slot + 1). Never 0, so
+/// callers may use 0 as "no event". The generation makes an id stale once
+/// its slot is released, so a reused slot is never cancelled by mistake.
 using EventId = std::uint64_t;
 
 /// Scheduling priority of a simultaneous event; lower value fires first.
@@ -46,8 +55,7 @@ class Engine {
 
   /// Cancels a pending event and releases its action. Returns false if the
   /// event already fired (or is firing), was already cancelled, or is
-  /// unknown. O(pending events): a linear scan, since cancels are rare
-  /// next to the events fired.
+  /// unknown. O(1): the id names the event's slot and generation.
   bool cancel(EventId id);
 
   /// Runs the next event. Returns false if the queue is empty.
@@ -64,41 +72,63 @@ class Engine {
 
   /// Events still to fire (cancelled ones excluded).
   [[nodiscard]] std::size_t pending_events() const {
-    return queue_.size() - tombstones_;
+    return heap_.size() - tombstones_;
   }
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
  private:
-  struct Event {
-    SimTime at;
-    int priority;
-    /// Tombstone: cancelled while pending, dropped when it reaches the top.
-    bool cancelled = false;
-    EventId id;  // also the insertion sequence number
-    Action action;
+  /// Heap element. Trivially copyable, so sifting the heap copies 24 bytes
+  /// and never touches an action; the action stays in its slot.
+  struct Key {
+    std::int64_t at;      // SimTime in microseconds
+    std::uint64_t order;  // priority << kPriorityShift | insertion sequence
+    std::uint32_t slot;
   };
+  static_assert(std::is_trivially_copyable_v<Key>);
+  static constexpr int kPriorityShift = 56;
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.id > b.id;
+    bool operator()(const Key& a, const Key& b) const {
+      return a.at != b.at ? a.at > b.at : a.order > b.order;
     }
   };
 
-  /// Binary heap under Later (std::push_heap / std::pop_heap), so the
-  /// next event can be moved out rather than copied from a const top().
-  std::vector<Event> queue_;
-  /// Cancelled events still in queue_.
+  enum class SlotState : std::uint8_t { kFree, kPending, kCancelled, kFiring };
+  struct Slot {
+    Action action;
+    /// Bumped on every release; ids carry the value at scheduling time.
+    std::uint32_t generation = 0;
+    std::uint32_t next_free = 0;
+    SlotState state = SlotState::kFree;
+  };
+  /// Slots live in fixed-size chunks that never move, so an action runs in
+  /// place even when it schedules events that grow the table.
+  static constexpr std::uint32_t kChunkBits = 7;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Binary heap under Later (std::push_heap / std::pop_heap).
+  std::vector<Key> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_ = 0;
+  std::uint32_t free_head_ = kNoSlot;
+  /// Cancelled events still in heap_.
   std::size_t tombstones_ = 0;
   SimTime now_;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
 
+  [[nodiscard]] Slot& slot(std::uint32_t index) {
+    return chunks_[index >> kChunkBits][index & (kChunkSize - 1)];
+  }
+  /// Takes a slot off the free list, or appends one.
+  std::uint32_t acquire_slot();
+  /// Drops the slot's action, makes its ids stale and frees it.
+  void release_slot(std::uint32_t index);
+  /// Removes and returns the earliest key.
+  Key pop_key();
   /// Drops tombstones off the top of the heap; returns false when
   /// nothing live is left.
   bool skip_cancelled();
-  /// Removes and returns the earliest event.
-  Event pop_next();
   bool fire_next();
 };
 

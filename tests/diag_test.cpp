@@ -170,8 +170,16 @@ struct DiagWorld {
   DiagWorld()
       : server(engine, can,
                DiagBackend{.dtcs = &dtcs,
+                           .fmf = nullptr,
+                           .watchdog = nullptr,
                            .ecu_reset = [this] { ++resets; },
-                           .offline = [this] { return offline; }}),
+                           .offline = [this] { return offline; },
+                           .heartbeats_sent = {},
+                           .policy_hash = {},
+                           .policy_version = {},
+                           .environment = nullptr,
+                           .process = nullptr,
+                           .nvm = nullptr}),
         tester(engine, can) {}
 
   wdg::ErrorReport report(std::uint32_t app, wdg::ErrorType type,
@@ -521,7 +529,9 @@ TEST(HealthMonitorMaster, AggregatesDtcCountsFromCentralBackend) {
   bus::CanBus can(engine);
   rte::SignalBus signals;
   fmf::DtcStore dtcs(signals, {}, 8);
-  DiagServer server(engine, can, DiagBackend{.dtcs = &dtcs});
+  DiagBackend backend;
+  backend.dtcs = &dtcs;
+  DiagServer server(engine, can, backend);
   wdg::ErrorReport report;
   report.application = ApplicationId(4);
   report.type = wdg::ErrorType::kArrivalRate;

@@ -771,6 +771,13 @@ TEST(EnvironmentDiagTest, EnvironmentDidsRoundTripInjectedValues) {
 
   diag::DiagServer server(engine, can,
                           diag::DiagBackend{.dtcs = &dtcs,
+                                            .fmf = nullptr,
+                                            .watchdog = nullptr,
+                                            .ecu_reset = {},
+                                            .offline = {},
+                                            .heartbeats_sent = {},
+                                            .policy_hash = {},
+                                            .policy_version = {},
                                             .environment = &esu,
                                             .process = &psu,
                                             .nvm = &nvm});

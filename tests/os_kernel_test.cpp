@@ -2,7 +2,10 @@
 // resources, counters/alarms, hooks, reset.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "os/kernel.hpp"
@@ -620,6 +623,48 @@ TEST_F(KernelTest, SetRelAlarmTwiceRejected) {
   EXPECT_EQ(kernel.set_rel_alarm(alarm, 5, 5), Status::kState);
 }
 
+TEST_F(KernelTest, AlarmsCreatedOrArmedInsideACallbackWaitForTheNextTick) {
+  struct Context {
+    Kernel* kernel;
+    Engine* engine;
+    CounterId counter;
+    AlarmId later;
+    std::vector<std::string> fired;
+    void record(const std::string& name) {
+      fired.push_back(name + "@" +
+                      std::to_string(engine->now().as_micros()));
+    }
+  } ctx{&kernel, &engine, kernel.create_counter(
+                              {.name = "sys", .tick = Duration::millis(1)}),
+        AlarmId{}, {}};
+  // [&ctx] is one pointer, so std::function stores the callback inside the
+  // alarm itself: growing the alarm table must not move it while it runs.
+  const AlarmId trigger = kernel.create_alarm(
+      ctx.counter, AlarmActionCallback{[&ctx] {
+        ctx.record("trigger");
+        EXPECT_EQ(ctx.kernel->set_rel_alarm(ctx.later, 1, 0), Status::kOk);
+        for (int i = 0; i < 64; ++i) {
+          const AlarmId created = ctx.kernel->create_alarm(
+              ctx.counter, AlarmActionCallback{[&ctx, i] {
+                if (i == 0) ctx.record("created");
+              }});
+          EXPECT_EQ(ctx.kernel->set_rel_alarm(created, 1, 0), Status::kOk);
+        }
+        ctx.record("trigger-end");
+      }});
+  // "later" sits after "trigger" on the counter, so the tick that runs the
+  // trigger still visits it, right after it was armed.
+  ctx.later = kernel.create_alarm(
+      ctx.counter, AlarmActionCallback{[&ctx] { ctx.record("later"); }});
+  kernel.start();
+  kernel.set_rel_alarm(trigger, 5, 0);
+  engine.run_until(SimTime(10'000));
+  EXPECT_EQ(ctx.fired, (std::vector<std::string>{"trigger@5000",
+                                                 "trigger-end@5000",
+                                                 "later@6000",
+                                                 "created@6000"}));
+}
+
 // --- hooks and observers ---------------------------------------------------------------
 
 TEST_F(KernelTest, PrePostTaskHooksFire) {
@@ -684,6 +729,121 @@ TEST_F(KernelTest, ObserverSeesSegmentsWithRunnableIds) {
   engine.run_until(SimTime(1000));
   ASSERT_EQ(recorder.started.size(), 1u);
   EXPECT_EQ(recorder.started[0], RunnableId(77));
+}
+
+TEST_F(KernelTest, ObserverAddedDuringANotificationStartsWithTheNextOne) {
+  struct Recorder : KernelObserver {
+    std::vector<std::string> events;
+    void on_task_activated(TaskId, sim::SimTime) override {
+      events.push_back("activated");
+    }
+    void on_task_dispatched(TaskId, sim::SimTime) override {
+      events.push_back("dispatched");
+    }
+  } late;
+  struct Adder : KernelObserver {
+    Kernel* kernel;
+    KernelObserver* late;
+    void on_task_activated(TaskId, sim::SimTime) override {
+      kernel->add_observer(late);
+    }
+  } adder;
+  adder.kernel = &kernel;
+  adder.late = &late;
+  const TaskId t = make_task("t", 1, [&] {
+    return simple_job(Duration::micros(10));
+  });
+  kernel.add_observer(&adder);
+  kernel.start();
+  kernel.activate_task(t);
+  engine.run_until(SimTime(1000));
+  kernel.remove_observer(&adder);
+  kernel.remove_observer(&late);
+  EXPECT_EQ(late.events, (std::vector<std::string>{"dispatched"}));
+}
+
+TEST_F(KernelTest, ObserverRemovedDuringANotificationGetsNoFurtherCallbacks) {
+  struct Counting : KernelObserver {
+    int calls = 0;
+    void on_task_activated(TaskId, sim::SimTime) override { ++calls; }
+    void on_task_dispatched(TaskId, sim::SimTime) override { ++calls; }
+    void on_task_terminated(TaskId, sim::SimTime) override { ++calls; }
+  };
+  // The remover sits before its victim, so without the fix the victim
+  // would still be called for the notification that removed it.
+  auto victim = std::make_unique<Counting>();
+  Counting* victim_ptr = victim.get();
+  int victim_calls = -1;
+  struct Remover : KernelObserver {
+    std::function<void()> on_first;
+    void on_task_activated(TaskId, sim::SimTime) override {
+      if (on_first) std::exchange(on_first, nullptr)();
+    }
+  } remover;
+  remover.on_first = [&] {
+    kernel.remove_observer(victim_ptr);
+    victim_calls = victim->calls;
+    victim.reset();  // destroyed: a further callback would be a use after free
+  };
+  Counting tail;
+  const TaskId t = make_task("t", 1, [&] {
+    return simple_job(Duration::micros(10));
+  });
+  kernel.add_observer(&remover);
+  kernel.add_observer(victim_ptr);
+  kernel.add_observer(&tail);
+  kernel.start();
+  kernel.activate_task(t);
+  engine.run_until(SimTime(1000));
+  EXPECT_EQ(victim_calls, 0);
+  EXPECT_EQ(victim, nullptr);
+  // Observers behind the removed one still see every notification.
+  EXPECT_EQ(tail.calls, 3);
+  kernel.remove_observer(&remover);
+  kernel.remove_observer(&tail);
+}
+
+TEST_F(KernelTest, RemovalInsideANestedNotificationKeepsTheOuterLoopIntact) {
+  std::vector<std::string> seen;
+  struct Named : KernelObserver {
+    std::vector<std::string>* seen;
+    std::string name;
+    std::function<void(TaskId)> on_activated;
+    void on_task_activated(TaskId task, sim::SimTime) override {
+      seen->push_back(name + ":" + std::to_string(task.value()));
+      if (on_activated) on_activated(task);
+    }
+  };
+  Named first, middle, last;
+  first.seen = middle.seen = last.seen = &seen;
+  first.name = "first";
+  middle.name = "middle";
+  last.name = "last";
+  const auto job = [] { return simple_job(Duration::micros(10)); };
+  const TaskId a = make_task("a", 1, job);
+  const TaskId b = make_task("b", 2, job);
+  // Activating a notifies; inside it, activating b notifies again (nested),
+  // and the nested callback removes the middle observer.
+  first.on_activated = [&](TaskId task) {
+    if (task == a) kernel.activate_task(b);
+    if (task == b) kernel.remove_observer(&middle);
+  };
+  kernel.add_observer(&first);
+  kernel.add_observer(&middle);
+  kernel.add_observer(&last);
+  kernel.start();
+  kernel.activate_task(a);
+  EXPECT_EQ(seen, (std::vector<std::string>{"first:0", "first:1", "last:1",
+                                            "last:0"}));
+  // Once both jobs are done, the same sequence runs without the middle
+  // observer: its entry was erased, not left behind.
+  engine.run_until(SimTime(1000));
+  seen.clear();
+  kernel.activate_task(a);
+  EXPECT_EQ(seen, (std::vector<std::string>{"first:0", "first:1", "last:1",
+                                            "last:0"}));
+  kernel.remove_observer(&first);
+  kernel.remove_observer(&last);
 }
 
 // --- accounting -----------------------------------------------------------------------

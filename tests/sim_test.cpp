@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -275,6 +278,160 @@ TEST(Engine, DeterministicAcrossRuns) {
     return trace;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(Engine, StaleIdDoesNotCancelTheEventReusingItsSlot) {
+  Engine engine;
+  // Fired: the slot is free again once the action has run.
+  const EventId fired = engine.schedule_at(SimTime(10), [] {});
+  engine.run_all();
+  bool reused_fired = false;
+  const EventId after_fire =
+      engine.schedule_at(SimTime(20), [&] { reused_fired = true; });
+  // Same slot (low half), new generation: the ids differ.
+  EXPECT_EQ(fired & 0xFFFF'FFFFu, after_fire & 0xFFFF'FFFFu);
+  EXPECT_NE(fired, after_fire);
+  EXPECT_FALSE(engine.cancel(fired));
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_all();
+  EXPECT_TRUE(reused_fired);
+
+  // Cancelled: the slot is freed when the tombstone leaves the heap.
+  const EventId cancelled = engine.schedule_at(SimTime(30), [] {});
+  EXPECT_TRUE(engine.cancel(cancelled));
+  engine.run_all();
+  bool reused_cancelled = false;
+  const EventId after_cancel =
+      engine.schedule_at(SimTime(40), [&] { reused_cancelled = true; });
+  EXPECT_EQ(cancelled & 0xFFFF'FFFFu, after_cancel & 0xFFFF'FFFFu);
+  EXPECT_FALSE(engine.cancel(cancelled));
+  EXPECT_EQ(engine.pending_events(), 1u);
+  engine.run_all();
+  EXPECT_TRUE(reused_cancelled);
+}
+
+TEST(Engine, ActionsRunInPlaceWhileTheSlotTableGrows) {
+  Engine engine;
+  // The first action schedules far more events than one chunk of slots
+  // holds, then still uses its own captured state.
+  std::vector<int> fired;
+  auto token = std::make_shared<int>(7);
+  engine.schedule_at(SimTime(0), [&engine, &fired, token] {
+    for (int i = 0; i < 1000; ++i) {
+      engine.schedule_in(Duration::micros(1 + i), [&fired, i] {
+        fired.push_back(i);
+      });
+    }
+    fired.push_back(*token);
+  });
+  engine.run_all();
+  ASSERT_EQ(fired.size(), 1001u);
+  EXPECT_EQ(fired.front(), 7);
+  EXPECT_EQ(fired[1], 0);
+  EXPECT_EQ(fired.back(), 999);
+  EXPECT_EQ(token.use_count(), 1);  // released after firing
+}
+
+/// Reference model for the property test: pending events in an ordered
+/// set on (time, priority, scheduling sequence), the order the engine
+/// promises.
+struct ReferenceQueue {
+  struct Entry {
+    std::int64_t at;
+    int priority;
+    std::uint64_t seq;
+    auto operator<=>(const Entry&) const = default;
+  };
+  std::set<Entry> pending;
+  std::uint64_t next_seq = 0;
+};
+
+/// Drives an Engine and a ReferenceQueue with the same seeded sequence of
+/// schedule_at / schedule_in / cancel calls, issued both from the test and
+/// from inside firing actions, and checks firing order and
+/// pending_events() after every step.
+class EngineModelCheck {
+ public:
+  explicit EngineModelCheck(std::uint32_t seed) : rng_(seed) {}
+
+  void run(int steps) {
+    for (int i = 0; i < 20; ++i) random_op();
+    for (int i = 0; i < steps && !model_.pending.empty(); ++i) {
+      if (rng_() % 3 == 0) random_op();
+      expected_ = *model_.pending.begin();
+      model_.pending.erase(model_.pending.begin());
+      firing_ = true;
+      ASSERT_TRUE(engine_.step());
+      ASSERT_FALSE(firing_) << "step " << i << " fired nothing";
+      ASSERT_EQ(engine_.pending_events(), model_.pending.size())
+          << "step " << i;
+      ASSERT_EQ(engine_.now().as_micros(), expected_.at);
+    }
+    // Drain what is left; the engine must agree that nothing remains.
+    while (!model_.pending.empty()) {
+      expected_ = *model_.pending.begin();
+      model_.pending.erase(model_.pending.begin());
+      firing_ = true;
+      ASSERT_TRUE(engine_.step());
+    }
+    EXPECT_FALSE(engine_.step());
+    EXPECT_EQ(engine_.pending_events(), 0u);
+    EXPECT_GT(fired_, 0u);
+    EXPECT_GT(cancelled_, 0u);
+  }
+
+ private:
+  Engine engine_;
+  ReferenceQueue model_;
+  std::mt19937 rng_;
+  /// Every id ever issued, with its reference entry (fired and cancelled
+  /// ones stay, so stale ids get cancelled too).
+  std::vector<std::pair<EventId, ReferenceQueue::Entry>> issued_;
+  ReferenceQueue::Entry expected_{};
+  bool firing_ = false;
+  std::uint64_t fired_ = 0;
+  std::uint64_t cancelled_ = 0;
+
+  void on_fire(ReferenceQueue::Entry self) {
+    ASSERT_TRUE(firing_);
+    ASSERT_EQ(self, expected_);
+    firing_ = false;
+    ++fired_;
+    const auto nested = rng_() % 4;
+    for (std::uint32_t i = 0; i < nested; ++i) random_op();
+  }
+
+  void random_op() {
+    const auto op = rng_() % 8;
+    if (op < 5) {
+      const auto priority = static_cast<int>(rng_() % 4);
+      const auto delay = static_cast<std::int64_t>(rng_() % 6);  // many ties
+      const ReferenceQueue::Entry entry{engine_.now().as_micros() + delay,
+                                        priority, model_.next_seq++};
+      const auto action = [this, entry] { on_fire(entry); };
+      const auto p = static_cast<EventPriority>(priority);
+      const EventId id =
+          op < 3 ? engine_.schedule_at(SimTime(entry.at), action, p)
+                 : engine_.schedule_in(Duration::micros(delay), action, p);
+      ASSERT_NE(id, 0u);
+      model_.pending.insert(entry);
+      issued_.emplace_back(id, entry);
+    } else if (!issued_.empty()) {
+      const auto& [id, entry] = issued_[rng_() % issued_.size()];
+      const bool pending = model_.pending.erase(entry) == 1;
+      ASSERT_EQ(engine_.cancel(id), pending);
+      if (pending) ++cancelled_;
+    }
+  }
+};
+
+TEST(EngineProperty, MatchesOrderedReferenceUnderRandomCalls) {
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    EngineModelCheck check(seed);
+    check.run(2'000);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // --- vehicle ------------------------------------------------------------------

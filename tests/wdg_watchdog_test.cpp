@@ -8,6 +8,7 @@
 #include "os/kernel.hpp"
 #include "rte/rte.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/event_bus.hpp"
 #include "wdg/service.hpp"
 #include "wdg/watchdog.hpp"
 
@@ -272,6 +273,34 @@ TEST_F(WatchdogTest, SeverityMapping) {
             Severity::kMajor);
   EXPECT_EQ(SoftwareWatchdog::severity_of(ErrorType::kAccumulatedAliveness),
             Severity::kMinor);
+}
+
+TEST_F(WatchdogTest, DetectionTelemetryNamesTheReportingUnit) {
+  wd.add_runnable(monitor(1, 0, 0));
+  telemetry::EventBus bus;
+  std::vector<telemetry::Event> detections;
+  bus.add_sink([&](const telemetry::Event& e) {
+    if (e.kind == telemetry::EventKind::kErrorDetected) detections.push_back(e);
+  });
+  telemetry::EventScope scope(bus);
+  for (std::size_t t = 0; t < kErrorTypeCount; ++t) {
+    ErrorReport report;
+    report.runnable = RunnableId(1);
+    report.task = TaskId(0);
+    report.application = ApplicationId(0);
+    report.type = static_cast<ErrorType>(t);
+    report.time = SimTime(1'000);
+    wd.report_external_error(report);
+  }
+  ASSERT_EQ(detections.size(), kErrorTypeCount);
+  // Every error class has a detecting unit; none falls back to the
+  // harness component.
+  for (const telemetry::Event& e : detections) {
+    EXPECT_NE(e.component, telemetry::Component::kHarness) << e.detail;
+  }
+  EXPECT_EQ(detections[static_cast<std::size_t>(ErrorType::kPowerMode)]
+                .component,
+            telemetry::Component::kModeUnit);
 }
 
 // --- WatchdogService: OS integration ------------------------------------------
