@@ -4,8 +4,9 @@
 // attributes cost to: the sim::Engine step loop and its heap under N
 // periodic events, the kernel's 1 ms counter tick, CAN arbitration over a
 // pending backlog, one FlexRay cycle, telemetry event-bus publication, the
-// HBM window check, the PFC pair lookup, SignalBus enqueue/drain, DTC
-// store insertion and an overflowing fault-memory persist — plus the
+// HBM window check, the PFC pair lookup, SignalBus enqueue/drain and
+// publish (by name and by handle), one RTE task activation, DTC store
+// insertion and an overflowing fault-memory persist — plus the
 // profiler's own span overhead (installed, with and without raw records,
 // and uninstalled), so the <5% campaign-overhead budget has a per-site
 // number behind it.
@@ -257,6 +258,67 @@ void BM_SignalBusEnqueueDrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SignalBusEnqueueDrain);
+
+/// One sender-receiver write on a bus of 40 signals, by name (a string
+/// literal longer than the small-string buffer, as the applications'
+/// signal names are) and by a handle bound once.
+void BM_SignalPublish(benchmark::State& state, bool by_handle) {
+  rte::SignalBus bus;
+  for (int i = 0; i < 39; ++i) {
+    bus.publish("app.signal_" + std::to_string(i), 0.0, sim::SimTime(0));
+  }
+  const rte::SignalHandle speed = bus.bind("safespeed.speed_measured");
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    if (by_handle) {
+      bus.publish(speed, 100.0, sim::SimTime(t));
+    } else {
+      bus.publish("safespeed.speed_measured", 100.0, sim::SimTime(t));
+    }
+    ++t;
+  }
+  benchmark::DoNotOptimize(bus.read_or(speed, 0.0));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SignalPublish, string, false);
+BENCHMARK_CAPTURE(BM_SignalPublish, handle, true);
+
+/// One activation of an RTE task of three runnables through the kernel:
+/// job build, dispatch, three segments with their bodies and heartbeat
+/// glue, termination.
+void BM_TaskActivation(benchmark::State& state) {
+  sim::Engine engine;
+  os::Kernel kernel(engine);
+  rte::Rte rte(kernel);
+  const ApplicationId app = rte.register_application("App");
+  const ComponentId component = rte.register_component(app, "Chain");
+  os::TaskConfig config;
+  config.name = "Task";
+  config.priority = 5;
+  const TaskId task = kernel.create_task(config);
+  std::uint64_t bodies = 0;
+  for (int i = 0; i < 3; ++i) {
+    rte::RunnableSpec spec;
+    spec.name = "R" + std::to_string(i);
+    spec.execution_time = sim::Duration::micros(100);
+    spec.body = [&bodies] { ++bodies; };
+    rte.map_runnable(rte.register_runnable(component, std::move(spec)), task);
+  }
+  std::uint64_t heartbeats = 0;
+  rte.add_heartbeat_listener(
+      [&heartbeats](RunnableId, TaskId, sim::SimTime) { ++heartbeats; });
+  rte.finalize();
+  kernel.start();
+  for (auto _ : state) {
+    kernel.activate_task(task);
+    engine.run_for(sim::Duration::millis(1));
+  }
+  benchmark::DoNotOptimize(heartbeats);
+  state.counters["runnables_per_activation"] =
+      static_cast<double>(bodies) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TaskActivation);
 
 /// DTC store insertion into a bounded fault memory: rotating keys force
 /// the create + oldest-eviction path (worst case), not the update path.

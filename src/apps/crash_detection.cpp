@@ -8,7 +8,10 @@ CrashDetection::CrashDetection(rte::Rte& rte, rte::SignalBus& signals,
     : rte_(rte),
       signals_(signals),
       kernel_(rte.kernel()),
-      config_(config) {
+      config_(config),
+      accel_g_(signals.bind("sensor.accel_g")),
+      crash_detected_(signals.bind("crash.detected")),
+      crash_notify_(signals.bind("telematics.crash_notify")) {
   app_ = rte_.register_application("CrashDetection");
   const ComponentId component =
       rte_.register_component(app_, "EmergencyNotifier");
@@ -23,11 +26,11 @@ CrashDetection::CrashDetection(rte::Rte& rte, rte::SignalBus& signals,
   detect_spec.name = "DetectCrash";
   detect_spec.execution_time = config_.detect_cost;
   detect_spec.body = [this] {
-    const double accel = signals_.read_or("sensor.accel_g", 0.0);
+    const double accel = signals_.read_or(accel_g_, 0.0);
     crash_pending_ = accel >= config_.threshold_g;
     if (crash_pending_) {
       ++crashes_;
-      signals_.publish("crash.detected", static_cast<double>(crashes_),
+      signals_.publish(crash_detected_, static_cast<double>(crashes_),
                        kernel_.now());
     }
   };
@@ -40,8 +43,8 @@ CrashDetection::CrashDetection(rte::Rte& rte, rte::SignalBus& signals,
     if (!crash_pending_) return;
     crash_pending_ = false;
     ++notices_;
-    signals_.publish("telematics.crash_notify",
-                     static_cast<double>(notices_), kernel_.now());
+    signals_.publish(crash_notify_, static_cast<double>(notices_),
+                     kernel_.now());
   };
   notify_ = rte_.register_runnable(component, std::move(notify_spec));
 

@@ -59,6 +59,9 @@ class CrashDetection {
   rte::SignalBus& signals_;
   os::Kernel& kernel_;
   CrashDetectionConfig config_;
+  rte::SignalHandle accel_g_;
+  rte::SignalHandle crash_detected_;
+  rte::SignalHandle crash_notify_;
   ApplicationId app_;
   TaskId task_;
   TaskId isr_;

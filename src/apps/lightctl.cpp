@@ -6,7 +6,12 @@ namespace easis::apps {
 
 LightControl::LightControl(rte::Rte& rte, rte::SignalBus& signals,
                            TaskId task, LightControlConfig config)
-    : signals_(signals), config_(config), task_(task) {
+    : signals_(signals),
+      config_(config),
+      task_(task),
+      ambient_light_(signals.bind("env.ambient_light")),
+      ambient_(signals.bind("light.ambient")),
+      headlamps_(signals.bind("light.headlamps")) {
   app_ = rte.register_application("LightControl");
   const ComponentId component = rte.register_component(app_, "Headlamps");
   auto& kernel = rte.kernel();
@@ -16,8 +21,7 @@ LightControl::LightControl(rte::Rte& rte, rte::SignalBus& signals,
   read_spec.execution_time = config_.read_cost;
   read_spec.safety_critical = false;
   read_spec.body = [this, &kernel] {
-    signals_.publish("light.ambient",
-                     signals_.read_or("env.ambient_light", 1.0),
+    signals_.publish(ambient_, signals_.read_or(ambient_light_, 1.0),
                      kernel.now());
   };
   read_ = rte.register_runnable(component, std::move(read_spec));
@@ -27,14 +31,13 @@ LightControl::LightControl(rte::Rte& rte, rte::SignalBus& signals,
   control_spec.execution_time = config_.control_cost;
   control_spec.safety_critical = false;
   control_spec.body = [this, &kernel] {
-    const double ambient = signals_.read_or("light.ambient", 1.0);
+    const double ambient = signals_.read_or(ambient_, 1.0);
     if (!headlamps_on_ && ambient <= config_.ambient_on_threshold) {
       headlamps_on_ = true;
     } else if (headlamps_on_ && ambient >= config_.ambient_off_threshold) {
       headlamps_on_ = false;
     }
-    signals_.publish("light.headlamps", headlamps_on_ ? 1.0 : 0.0,
-                     kernel.now());
+    signals_.publish(headlamps_, headlamps_on_ ? 1.0 : 0.0, kernel.now());
   };
   control_ = rte.register_runnable(component, std::move(control_spec));
 

@@ -37,6 +37,9 @@ class LightControl {
   LightControlConfig config_;
   ApplicationId app_;
   TaskId task_;
+  rte::SignalHandle ambient_light_;
+  rte::SignalHandle ambient_;
+  rte::SignalHandle headlamps_;
   RunnableId read_;
   RunnableId control_;
   bool headlamps_on_ = false;

@@ -12,6 +12,10 @@ RailMon::RailMon(rte::Rte& rte, rte::SignalBus& signals,
     : signals_(signals),
       manager_(manager),
       config_(config),
+      vibration_(signals.bind("env.vibration")),
+      journal_depth_signal_(signals.bind("railmon.journal_depth")),
+      committed_signal_(signals.bind("railmon.committed")),
+      uplinked_signal_(signals.bind("railmon.uplinked")),
       control_task_(control_task),
       sensor_task_(sensor_task) {
   app_ = rte.register_application("RailMon");
@@ -29,14 +33,14 @@ RailMon::RailMon(rte::Rte& rte, rte::SignalBus& signals,
   sensor_spec.name = "SampleSensor";
   sensor_spec.execution_time = config_.sensor_cost;
   sensor_spec.body = [this, &kernel] {
-    (void)signals_.read_or("env.vibration", 0.0);
+    (void)signals_.read_or(vibration_, 0.0);
     ++samples_;
     if (journal_depth_ < config_.journal_capacity) {
       ++journal_depth_;
     } else {
       ++dropped_;
     }
-    signals_.publish("railmon.journal_depth",
+    signals_.publish(journal_depth_signal_,
                      static_cast<double>(journal_depth_), kernel.now());
   };
   sensor_ = rte.register_runnable(chain, std::move(sensor_spec));
@@ -56,9 +60,9 @@ RailMon::RailMon(rte::Rte& rte, rte::SignalBus& signals,
       committed_ -= batch;
       uplinked_ += batch;
     }
-    signals_.publish("railmon.committed", static_cast<double>(committed_),
+    signals_.publish(committed_signal_, static_cast<double>(committed_),
                      kernel.now());
-    signals_.publish("railmon.uplinked", static_cast<double>(uplinked_),
+    signals_.publish(uplinked_signal_, static_cast<double>(uplinked_),
                      kernel.now());
   };
   uplink_ = rte.register_runnable(chain, std::move(uplink_spec));
@@ -102,9 +106,8 @@ void RailMon::drive_duty_cycle(sim::SimTime now) {
 void RailMon::commit_journal(sim::SimTime now) {
   committed_ += journal_depth_;
   journal_depth_ = 0;
-  signals_.publish("railmon.journal_depth", 0.0, now);
-  signals_.publish("railmon.committed", static_cast<double>(committed_),
-                   now);
+  signals_.publish(journal_depth_signal_, 0.0, now);
+  signals_.publish(committed_signal_, static_cast<double>(committed_), now);
 }
 
 void RailMon::configure_watchdog(wdg::SoftwareWatchdog& watchdog) const {

@@ -115,6 +115,10 @@ class RailMon {
   rte::SignalBus& signals_;
   mode::PowerModeManager& manager_;
   RailMonConfig config_;
+  rte::SignalHandle vibration_;
+  rte::SignalHandle journal_depth_signal_;
+  rte::SignalHandle committed_signal_;
+  rte::SignalHandle uplinked_signal_;
   ApplicationId app_;
   TaskId control_task_;
   TaskId sensor_task_;

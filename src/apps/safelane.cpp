@@ -8,7 +8,13 @@ namespace easis::apps {
 
 SafeLane::SafeLane(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
                    SafeLaneConfig config)
-    : signals_(signals), config_(config), task_(task) {
+    : signals_(signals),
+      config_(config),
+      task_(task),
+      lane_offset_(signals.bind("lane.offset_m")),
+      offset_(signals.bind("safelane.offset")),
+      warning_signal_(signals.bind("safelane.warning")),
+      hmi_warning_(signals.bind("hmi.lane_warning")) {
   app_ = rte.register_application("SafeLane");
   const ComponentId component =
       rte.register_component(app_, "DepartureWarning");
@@ -18,8 +24,8 @@ SafeLane::SafeLane(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
   acquire_spec.name = "AcquireLanePosition";
   acquire_spec.execution_time = config_.acquire_cost;
   acquire_spec.body = [this, &kernel] {
-    const double offset = signals_.read_or("lane.offset_m", 0.0);
-    signals_.publish("safelane.offset", offset, kernel.now());
+    const double offset = signals_.read_or(lane_offset_, 0.0);
+    signals_.publish(offset_, offset, kernel.now());
   };
   acquire_ = rte.register_runnable(component, std::move(acquire_spec));
 
@@ -27,13 +33,13 @@ SafeLane::SafeLane(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
   detect_spec.name = "DetectDeparture";
   detect_spec.execution_time = config_.detect_cost;
   detect_spec.body = [this, &kernel] {
-    const double offset = std::abs(signals_.read_or("safelane.offset", 0.0));
+    const double offset = std::abs(signals_.read_or(offset_, 0.0));
     if (!warning_ && offset >= config_.assert_threshold_m) {
       warning_ = true;
     } else if (warning_ && offset <= config_.release_threshold_m) {
       warning_ = false;
     }
-    signals_.publish("safelane.warning", warning_ ? 1.0 : 0.0, kernel.now());
+    signals_.publish(warning_signal_, warning_ ? 1.0 : 0.0, kernel.now());
   };
   detect_ = rte.register_runnable(component, std::move(detect_spec));
 
@@ -41,8 +47,8 @@ SafeLane::SafeLane(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
   warn_spec.name = "WarnActuator";
   warn_spec.execution_time = config_.warn_cost;
   warn_spec.body = [this, &kernel] {
-    signals_.publish("hmi.lane_warning",
-                     signals_.read_or("safelane.warning", 0.0), kernel.now());
+    signals_.publish(hmi_warning_, signals_.read_or(warning_signal_, 0.0),
+                     kernel.now());
   };
   warn_ = rte.register_runnable(component, std::move(warn_spec));
 

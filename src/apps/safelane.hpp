@@ -48,6 +48,10 @@ class SafeLane {
   SafeLaneConfig config_;
   ApplicationId app_;
   TaskId task_;
+  rte::SignalHandle lane_offset_;
+  rte::SignalHandle offset_;
+  rte::SignalHandle warning_signal_;
+  rte::SignalHandle hmi_warning_;
   RunnableId acquire_;
   RunnableId detect_;
   RunnableId warn_;

@@ -8,7 +8,15 @@ namespace easis::apps {
 
 SafeSpeed::SafeSpeed(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
                      SafeSpeedConfig config)
-    : signals_(signals), config_(config), task_(task) {
+    : signals_(signals),
+      config_(config),
+      task_(task),
+      speed_kmh_(signals.bind("vehicle.speed_kmh")),
+      max_speed_kmh_(signals.bind(kMaxSpeedSignal)),
+      driver_demand_(signals.bind("driver.demand")),
+      speed_measured_(signals.bind("safespeed.speed_measured")),
+      limit_(signals.bind("safespeed.limit")),
+      drive_cmd_(signals.bind("actuator.drive_cmd")) {
   app_ = rte.register_application("SafeSpeed");
   const ComponentId component = rte.register_component(app_, "SpeedLimiter");
   auto& kernel = rte.kernel();
@@ -19,15 +27,15 @@ SafeSpeed::SafeSpeed(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
     policy.substitute = rte::SubstitutePolicy::kLimp;
     policy.default_value = config_.default_max_speed_kmh;
     policy.limp_value = config_.limp_max_speed_kmh;
-    signals_.set_reception_policy(kMaxSpeedSignal, policy, kernel.now());
+    signals_.set_reception_policy(max_speed_kmh_, policy, kernel.now());
   }
 
   rte::RunnableSpec sensor_spec;
   sensor_spec.name = "GetSensorValue";
   sensor_spec.execution_time = config_.sensor_cost;
   sensor_spec.body = [this, &kernel] {
-    const double speed = signals_.read_or("vehicle.speed_kmh", 0.0);
-    signals_.publish("safespeed.speed_measured", speed, kernel.now());
+    const double speed = signals_.read_or(speed_kmh_, 0.0);
+    signals_.publish(speed_measured_, speed, kernel.now());
   };
   sensor_ = rte.register_runnable(component, std::move(sensor_spec));
 
@@ -37,12 +45,12 @@ SafeSpeed::SafeSpeed(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
   control_spec.body = [this, &kernel] {
     if (limp_home_) {
       // Degraded mode: fixed conservative limit, measurement distrusted.
-      signals_.publish("safespeed.limit", kLimpHomeLimit, kernel.now());
+      signals_.publish(limit_, kLimpHomeLimit, kernel.now());
       return;
     }
-    const double measured = signals_.read_or("safespeed.speed_measured", 0.0);
+    const double measured = signals_.read_or(speed_measured_, 0.0);
     const auto command = signals_.read_qualified(
-        kMaxSpeedSignal, kernel.now(), config_.default_max_speed_kmh);
+        max_speed_kmh_, kernel.now(), config_.default_max_speed_kmh);
     max_speed_qualifier_ = command.qualifier;
     effective_max_speed_ = command.value;
     const double max_kmh = command.value;
@@ -50,7 +58,7 @@ SafeSpeed::SafeSpeed(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
     // zero (and into braking) as the limit is approached/exceeded.
     const double margin = max_kmh - measured;
     const double limit = std::clamp(config_.kp * margin, -0.3, 1.0);
-    signals_.publish("safespeed.limit", limit, kernel.now());
+    signals_.publish(limit_, limit, kernel.now());
   };
   control_ = rte.register_runnable(component, std::move(control_spec));
 
@@ -58,10 +66,10 @@ SafeSpeed::SafeSpeed(rte::Rte& rte, rte::SignalBus& signals, TaskId task,
   actuator_spec.name = "Speed_process";
   actuator_spec.execution_time = config_.actuator_cost;
   actuator_spec.body = [this, &kernel] {
-    const double demand = signals_.read_or("driver.demand", 0.0);
-    const double limit = signals_.read_or("safespeed.limit", 1.0);
+    const double demand = signals_.read_or(driver_demand_, 0.0);
+    const double limit = signals_.read_or(limit_, 1.0);
     const double cmd = std::min(demand, limit);
-    signals_.publish("actuator.drive_cmd", cmd, kernel.now());
+    signals_.publish(drive_cmd_, cmd, kernel.now());
   };
   actuator_ = rte.register_runnable(component, std::move(actuator_spec));
 

@@ -86,6 +86,12 @@ class SafeSpeed {
   SafeSpeedConfig config_;
   ApplicationId app_;
   TaskId task_;
+  rte::SignalHandle speed_kmh_;
+  rte::SignalHandle max_speed_kmh_;
+  rte::SignalHandle driver_demand_;
+  rte::SignalHandle speed_measured_;
+  rte::SignalHandle limit_;
+  rte::SignalHandle drive_cmd_;
   RunnableId sensor_;
   RunnableId control_;
   RunnableId actuator_;

@@ -62,11 +62,10 @@ HardwareWatchdogService::HardwareWatchdogService(os::Kernel& kernel,
   config.name = "HWWD_Kicker";
   config.priority = priority;
   task_ = kernel_.create_task(config);
-  kernel_.set_job_factory(task_, [&watchdog] {
-    os::Segment segment;
+  kernel_.set_job_factory(task_, [&watchdog](os::Job& job) {
+    os::Segment& segment = job.emplace_back();
     segment.cost = sim::Duration::micros(5);
     segment.on_complete = [&watchdog] { watchdog.kick(); };
-    return os::Job{segment};
   });
   alarm_ = kernel_.create_alarm(counter, os::AlarmActionActivateTask{task_},
                                 "HWWD_Alarm");

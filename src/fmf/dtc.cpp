@@ -4,19 +4,25 @@
 
 namespace easis::fmf {
 
-DtcStore::DtcStore(const rte::SignalBus& signals,
+DtcStore::DtcStore(rte::SignalBus& signals,
                    std::vector<std::string> frame_signals,
                    std::size_t max_entries)
     : signals_(signals),
       frame_signals_(std::move(frame_signals)),
-      max_entries_(max_entries) {}
+      max_entries_(max_entries) {
+  frame_handles_.reserve(frame_signals_.size());
+  for (const std::string& name : frame_signals_) {
+    frame_handles_.push_back(signals.bind(name));
+  }
+}
 
 FreezeFrame DtcStore::capture(sim::SimTime at) const {
   FreezeFrame frame;
   frame.captured_at = at;
   frame.signals.reserve(frame_signals_.size());
-  for (const std::string& name : frame_signals_) {
-    frame.signals.emplace_back(name, signals_.read_or(name, 0.0));
+  for (std::size_t i = 0; i < frame_signals_.size(); ++i) {
+    frame.signals.emplace_back(frame_signals_[i],
+                               signals_.read_or(frame_handles_[i], 0.0));
   }
   return frame;
 }

@@ -50,8 +50,7 @@ class DtcStore {
   /// at a full store, the entry with the oldest last-occurrence is evicted
   /// (oldest-eviction). 0 = unbounded. Updates to an existing entry never
   /// evict and retain the first-occurrence freeze frame.
-  DtcStore(const rte::SignalBus& signals,
-           std::vector<std::string> frame_signals,
+  DtcStore(rte::SignalBus& signals, std::vector<std::string> frame_signals,
            std::size_t max_entries = 0);
 
   /// Records one fault occurrence (creates or updates the DTC).
@@ -85,6 +84,8 @@ class DtcStore {
  private:
   const rte::SignalBus& signals_;
   std::vector<std::string> frame_signals_;
+  /// frame_signals_, bound once.
+  std::vector<rte::SignalHandle> frame_handles_;
   std::size_t max_entries_;
   std::map<DtcKey, DtcEntry> entries_;
   std::uint64_t evictions_ = 0;

@@ -472,6 +472,7 @@ void FaultManagementFramework::persist() {
   // freed, so each retry is a size check, not a walk over the image.
   std::size_t bytes = payload_bytes(image);
   std::uint32_t overflows_seen = nvm_->overflows();
+  std::optional<EvictionLadder> ladder;  // ordered at the first overflow
   while (!nvm_->commit(image, bytes)) {
     const bool capacity = nvm_->overflows() > overflows_seen;
     overflows_seen = nvm_->overflows();
@@ -487,7 +488,8 @@ void FaultManagementFramework::persist() {
       return;
     }
     // Flash full: degrade gracefully, lowest-priority entry first.
-    const std::size_t freed = evict_one(image);
+    if (!ladder) ladder.emplace(image);
+    const std::size_t freed = ladder->evict_next(image);
     if (freed == 0) {
       EASIS_LOG(util::LogLevel::kError, kLog)
           << "NVM commit failed: image exceeds bank capacity even after "
@@ -496,6 +498,12 @@ void FaultManagementFramework::persist() {
     }
     bytes -= freed;
     ++nvm_evictions_;
+    // Dropped entries leave the image only once it fits: a commit that
+    // overflows never reads the image, so the next one may write it.
+    if (nvm_->fits(bytes)) {
+      ladder->compact(image);
+      ladder.reset();
+    }
   }
   if (nvm_write_failing_) {
     nvm_write_failing_ = false;
@@ -503,58 +511,6 @@ void FaultManagementFramework::persist() {
         << "NVM commits recovered after " << nvm_write_failures_
         << " lost commit(s) in total";
   }
-}
-
-std::size_t FaultManagementFramework::evict_one(NvmImage& image) {
-  // Eviction ladder (lowest priority first). The reset-cause chain's
-  // newest entry and the transgression records are never dropped: they
-  // explain why the ECU is in the state it is in.
-  auto oldest_dtc = [&image](bool active) -> std::size_t {
-    std::size_t best = image.dtcs.size();
-    for (std::size_t i = 0; i < image.dtcs.size(); ++i) {
-      if (image.dtcs[i].active != active) continue;
-      if (best == image.dtcs.size() ||
-          image.dtcs[i].last_seen < image.dtcs[best].last_seen) {
-        best = i;
-      }
-    }
-    return best;
-  };
-  for (const bool active : {false, true}) {
-    // First the freeze frames of this class (cheap, keeps the DTC), then
-    // whole entries.
-    std::size_t best = image.dtcs.size();
-    for (std::size_t i = 0; i < image.dtcs.size(); ++i) {
-      if (image.dtcs[i].active != active || !image.dtcs[i].freeze_frame) {
-        continue;
-      }
-      if (best == image.dtcs.size() ||
-          image.dtcs[i].last_seen < image.dtcs[best].last_seen) {
-        best = i;
-      }
-    }
-    if (best < image.dtcs.size()) {
-      PersistedDtc& dtc = image.dtcs[best];
-      const std::size_t with_frame = payload_bytes(dtc);
-      dtc.freeze_frame.reset();
-      return with_frame - payload_bytes(dtc);
-    }
-    const std::size_t victim = oldest_dtc(active);
-    if (victim < image.dtcs.size()) {
-      const std::size_t freed = payload_bytes(image.dtcs[victim]);
-      image.dtcs.erase(image.dtcs.begin() +
-                       static_cast<std::ptrdiff_t>(victim));
-      return freed;
-    }
-  }
-  // Last resort: trim the reset history down to the newest entry — the
-  // reset-cause chain must keep at least the most recent decision.
-  if (image.reset_history.size() > 1) {
-    const std::size_t freed = payload_bytes(image.reset_history.front());
-    image.reset_history.erase(image.reset_history.begin());
-    return freed;
-  }
-  return 0;
 }
 
 void FaultManagementFramework::boot_from_nvm(sim::SimTime now) {

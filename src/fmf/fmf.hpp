@@ -271,9 +271,6 @@ class FaultManagementFramework {
   void restart_application(ApplicationId app, sim::SimTime now);
   void terminate_application(ApplicationId app, sim::SimTime now);
   void clear_monitoring_state(ApplicationId app, sim::SimTime now);
-  /// Evicts the lowest-priority entry; returns the payload bytes it freed
-  /// (0 when nothing expendable is left).
-  std::size_t evict_one(NvmImage& image);
   void latch_storm(const ResetCause& cause, sim::SimTime now);
   void record_reset_cause(ResetCause cause);
   [[nodiscard]] std::uint32_t recent_resets(sim::SimTime now) const;

@@ -296,13 +296,77 @@ std::size_t payload_bytes(const ResetCause& cause) {
   return counter.bytes();
 }
 
+EvictionLadder::EvictionLadder(const NvmImage& image)
+    : dropped_(image.dtcs.size(), false) {
+  // One stable sort by last_seen gives every class its order; ties keep
+  // the lower index first.
+  std::vector<std::uint32_t> by_age(image.dtcs.size());
+  for (std::uint32_t i = 0; i < by_age.size(); ++i) by_age[i] = i;
+  std::stable_sort(by_age.begin(), by_age.end(),
+                   [&image](std::uint32_t a, std::uint32_t b) {
+                     return image.dtcs[a].last_seen < image.dtcs[b].last_seen;
+                   });
+  steps_.reserve(2 * by_age.size());
+  for (const bool active : {false, true}) {
+    // First the freeze frames of this class (cheap, keeps the DTC), then
+    // whole entries.
+    for (std::uint32_t i : by_age) {
+      const PersistedDtc& dtc = image.dtcs[i];
+      if (dtc.active == active && dtc.freeze_frame) {
+        steps_.push_back(Step{i, true});
+      }
+    }
+    for (std::uint32_t i : by_age) {
+      if (image.dtcs[i].active == active) steps_.push_back(Step{i, false});
+    }
+  }
+}
+
+std::size_t EvictionLadder::evict_next(NvmImage& image) {
+  if (next_ < steps_.size()) {
+    const Step step = steps_[next_++];
+    PersistedDtc& dtc = image.dtcs[step.dtc];
+    const std::size_t before = payload_bytes(dtc);
+    if (!step.frame_only) {
+      dropped_[step.dtc] = true;
+      return before;
+    }
+    dtc.freeze_frame.reset();
+    return before - payload_bytes(dtc);
+  }
+  // Last resort: trim the reset history down to the newest entry — the
+  // reset-cause chain must keep at least the most recent decision.
+  if (image.reset_history.size() - history_trimmed_ > 1) {
+    return payload_bytes(image.reset_history[history_trimmed_++]);
+  }
+  return 0;
+}
+
+void EvictionLadder::compact(NvmImage& image) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < image.dtcs.size(); ++i) {
+    if (dropped_[i]) continue;
+    if (kept != i) image.dtcs[kept] = std::move(image.dtcs[i]);
+    ++kept;
+  }
+  image.dtcs.resize(kept);
+  image.reset_history.erase(
+      image.reset_history.begin(),
+      image.reset_history.begin() +
+          static_cast<std::ptrdiff_t>(history_trimmed_));
+}
+
 bool NvmStore::commit(const NvmImage& image) {
   return commit(image, payload_bytes(image));
 }
 
+bool NvmStore::fits(std::size_t payload) const {
+  return kHeaderBytes + payload <= capacity_;
+}
+
 bool NvmStore::commit(const NvmImage& image, std::size_t payload) {
   // Size first: a rejected commit costs a size check, never a write.
-  if (kHeaderBytes + payload > capacity_) {
+  if (!fits(payload)) {
     ++overflows_;
     return false;
   }

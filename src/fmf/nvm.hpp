@@ -115,6 +115,38 @@ inline constexpr std::size_t kResetHistoryDepth = 16;
 [[nodiscard]] std::size_t payload_bytes(const PersistedDtc& dtc);
 [[nodiscard]] std::size_t payload_bytes(const ResetCause& cause);
 
+/// The flash-full eviction order of one image, lowest priority first:
+/// freeze frames of inactive DTCs, inactive DTCs, freeze frames of active
+/// DTCs, active DTCs (each class oldest last_seen first, ties to the lower
+/// index), then the reset history down to its newest entry. The reset
+/// chain's newest entry and the transgression records are never dropped:
+/// they explain why the ECU is in the state it is in.
+///
+/// The order is computed once, so each eviction is O(1): a dropped DTC or
+/// history entry is only marked, and compact() removes the marked entries
+/// in one pass before the image is written.
+class EvictionLadder {
+ public:
+  explicit EvictionLadder(const NvmImage& image);
+
+  /// Evicts the next victim from `image`; returns the payload bytes it
+  /// freed (0 when nothing expendable is left).
+  std::size_t evict_next(NvmImage& image);
+  /// Removes the entries dropped so far from `image`. The ladder is spent
+  /// afterwards; a later eviction needs a new one.
+  void compact(NvmImage& image);
+
+ private:
+  struct Step {
+    std::uint32_t dtc = 0;
+    bool frame_only = false;  // strip the freeze frame, keep the entry
+  };
+  std::vector<Step> steps_;
+  std::size_t next_ = 0;
+  std::vector<bool> dropped_;  // by DTC index
+  std::size_t history_trimmed_ = 0;
+};
+
 class NvmStore {
  public:
   struct LoadResult {
@@ -139,6 +171,9 @@ class NvmStore {
   /// can keep a running count. A commit that is about to write re-checks
   /// it and throws std::invalid_argument on a mismatch, before any write.
   bool commit(const NvmImage& image, std::size_t payload);
+  /// Whether a payload of `payload` bytes fits a bank, i.e. whether a
+  /// commit of it gets past the capacity check.
+  [[nodiscard]] bool fits(std::size_t payload) const;
 
   /// Validates both banks and deserialises the newest valid image.
   [[nodiscard]] LoadResult load() const;

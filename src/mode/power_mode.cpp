@@ -32,6 +32,7 @@ PowerModeManager::PowerModeManager(sim::Engine& engine, rte::SignalBus& bus,
     : engine_(engine),
       bus_(bus),
       config_(config),
+      signal_(bus.bind(config_.signal)),
       current_(config.initial),
       entered_at_(engine.now()) {
   publish(engine.now());
@@ -133,7 +134,7 @@ void PowerModeManager::reseed(PowerMode target, sim::SimTime now) {
 }
 
 void PowerModeManager::publish(sim::SimTime now) {
-  bus_.publish(config_.signal, static_cast<double>(current_), now);
+  bus_.publish(signal_, static_cast<double>(current_), now);
 }
 
 }  // namespace easis::mode

@@ -137,6 +137,7 @@ class PowerModeManager {
   sim::Engine& engine_;
   rte::SignalBus& bus_;
   Config config_;
+  rte::SignalHandle signal_;
   PowerMode current_;
   sim::SimTime entered_at_;
   std::optional<ModeTransition> pending_;

@@ -33,8 +33,11 @@ struct Segment {
 
 using Job = std::vector<Segment>;
 
-/// Builds a fresh job for each task activation. Factories let the RTE
-/// compose runnable sequences and let the error injector rewrite them.
-using JobFactory = std::function<Job()>;
+/// Fills the job of each task activation. Factories let the RTE compose
+/// runnable sequences and let the error injector rewrite them. The kernel
+/// hands in an empty job whose capacity it recycled from an earlier,
+/// retired job, so a factory that appends its segments allocates nothing
+/// once the buffers have grown.
+using JobFactory = std::function<void(Job&)>;
 
 }  // namespace easis::os

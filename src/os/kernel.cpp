@@ -338,9 +338,22 @@ void Kernel::retire_job(Tcb& t) {
 }
 
 void Kernel::build_job(Tcb& t) {
-  t.job = t.factory ? t.factory() : Job{};
+  assert(t.job.empty());  // retire_job() ran first
+  if (t.job.capacity() == 0 && !spare_jobs_.empty()) {
+    t.job = std::move(spare_jobs_.back());
+    spare_jobs_.pop_back();
+  }
+  if (t.factory) t.factory(t.job);
   t.segment_index = 0;
   t.segment_entered = false;
+}
+
+void Kernel::recycle_retired_jobs() {
+  for (Job& job : retired_jobs_) {
+    job.clear();  // destroys the segment callbacks, keeps the capacity
+    spare_jobs_.push_back(std::move(job));
+  }
+  retired_jobs_.clear();
 }
 
 void Kernel::release_all_resources(Tcb& t) {
@@ -657,11 +670,10 @@ TaskId Kernel::create_isr(std::string name, sim::Duration cost,
   config.preemptable = false;  // interrupts run to completion here
   config.max_pending_activations = 8;
   const TaskId id = create_task(config);
-  set_job_factory(id, [cost, handler = std::move(handler)] {
-    Segment segment;
+  set_job_factory(id, [cost, handler = std::move(handler)](Job& job) {
+    Segment& segment = job.emplace_back();
     segment.cost = cost;
     segment.on_complete = handler;
-    return Job{segment};
   });
   return id;
 }

@@ -268,8 +268,8 @@ class Kernel {
       if (--kernel_.section_depth_ == 0) {
         if (kernel_.pending_dispatch_) kernel_.do_dispatch();
         // Jobs retired while their own segment callbacks were executing
-        // are only destroyed here, once every callback frame has unwound.
-        kernel_.retired_jobs_.clear();
+        // are only cleared here, once every callback frame has unwound.
+        kernel_.recycle_retired_jobs();
       }
     }
     Section(const Section&) = delete;
@@ -295,6 +295,8 @@ class Kernel {
   /// that job might still be on the call stack; destroying them
   /// immediately would free the executing std::function (see Section).
   std::vector<Job> retired_jobs_;
+  /// Cleared retired jobs whose capacity the next build_job() reuses.
+  std::vector<Job> spare_jobs_;
   bool started_ = false;
   std::uint32_t reset_epoch_ = 0;
   std::uint32_t handle_pool_capacity_ = 0;  // zero = unlimited
@@ -327,6 +329,7 @@ class Kernel {
   void finish_job(Tcb& t);
   void retire_job(Tcb& t);
   void build_job(Tcb& t);
+  void recycle_retired_jobs();
   void release_all_resources(Tcb& t);
   void drive_counter(CounterId id, std::uint32_t epoch);
   void counter_tick(CounterId id);

@@ -18,6 +18,7 @@ CheckSupervisionUnit::CheckSupervisionUnit(wdg::SoftwareWatchdog& watchdog,
 void CheckSupervisionUnit::add_rule(const CheckRule& rule) {
   RuleState state;
   state.rule = rule;
+  state.signal = bus_.bind(rule.signal);
   state.id = RunnableId{
       static_cast<std::uint32_t>(kCheckRunnableBase + rules_.size())};
 
@@ -69,7 +70,7 @@ void CheckSupervisionUnit::evaluate(RuleState& state, sim::SimTime now) {
   }
   if (state.stalled) return;  // the evaluation "hangs" inside its window
 
-  const double value = bus_.read_or(state.rule.signal, state.rule.fallback);
+  const double value = bus_.read_or(state.signal, state.rule.fallback);
   ++evaluations_;
   std::ostringstream detail;
   bool failed = false;

@@ -70,6 +70,7 @@ class CheckSupervisionUnit {
  private:
   struct RuleState {
     CheckRule rule;
+    rte::SignalHandle signal;
     RunnableId id;
     std::size_t section = 0;
     std::uint64_t cycles = 0;

@@ -73,20 +73,22 @@ void Rte::finalize() {
   if (finalized_) throw std::logic_error("Rte::finalize: already finalized");
   finalized_ = true;
   for (const auto& [task, _] : task_sequences_) {
-    kernel_.set_job_factory(task, [this, task] { return build_job(task); });
+    kernel_.set_job_factory(task,
+                            [this, task](os::Job& job) { build_job(task, job); });
   }
   EASIS_LOG(util::LogLevel::kInfo, kLog)
       << "finalized: " << runnables_.size() << " runnables on "
       << task_sequences_.size() << " tasks";
 }
 
-os::Job Rte::build_job(TaskId task) {
+void Rte::build_job(TaskId task, os::Job& job) {
   auto it = task_sequences_.find(task);
   assert(it != task_sequences_.end());
 
   // Base sequence: enabled applications only, honouring repeat controls.
-  std::vector<RunnableId> sequence;
-  sequence.reserve(it->second.size());
+  // Built in a reused buffer; a factory call never re-enters itself.
+  std::vector<RunnableId>& sequence = sequence_scratch_;
+  sequence.clear();
   for (RunnableId id : it->second) {
     const RunnableEntry& entry = runnables_[id.value()];
     if (!application_enabled(application_of(id))) continue;
@@ -100,11 +102,9 @@ os::Job Rte::build_job(TaskId task) {
     sequence = tr->second(std::move(sequence));
   }
 
-  os::Job job;
-  job.reserve(sequence.size() + 1);
   for (RunnableId id : sequence) {
     RunnableEntry& entry = runnables_[id.value()];
-    os::Segment segment;
+    os::Segment& segment = job.emplace_back();
     segment.runnable = id;
     segment.cost = scale(entry.spec.execution_time, entry.control.time_scale);
     segment.on_complete = [this, id, task] {
@@ -114,7 +114,6 @@ os::Job Rte::build_job(TaskId task) {
       // Auto-generated glue: aliveness indication to the watchdog.
       if (!e.control.suppress_heartbeat) emit_heartbeat(id, task);
     };
-    job.push_back(std::move(segment));
   }
 
   // Event-driven execution: prepend the wait point, optionally chain the
@@ -123,13 +122,11 @@ os::Job Rte::build_job(TaskId task) {
       cfg != execution_configs_.end() && !job.empty()) {
     job.front().wait_mask = cfg->second.wait_before;
     if (cfg->second.chain_self) {
-      os::Segment chain;
+      os::Segment& chain = job.emplace_back();
       chain.cost = sim::Duration::zero();
       chain.on_complete = [this, task] { kernel_.chain_task(task); };
-      job.push_back(std::move(chain));
     }
   }
-  return job;
 }
 
 void Rte::emit_heartbeat(RunnableId runnable, TaskId task) {

@@ -128,7 +128,11 @@ class Rte {
   std::vector<HeartbeatListener> listeners_;
   bool finalized_ = false;
 
-  [[nodiscard]] os::Job build_job(TaskId task);
+  /// Scratch for build_job()'s runnable sequence (reused capacity).
+  std::vector<RunnableId> sequence_scratch_;
+
+  /// The kernel's JobFactory for `task`: appends one segment per runnable.
+  void build_job(TaskId task, os::Job& job);
   void emit_heartbeat(RunnableId runnable, TaskId task);
 };
 

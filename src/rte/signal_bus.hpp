@@ -2,7 +2,9 @@
 //
 // Models the RTE's sender-receiver ports between runnables and the
 // data path towards sensors/actuators and the communication gateway.
-// Signals are named doubles with update metadata.
+// Signals are named doubles with update metadata, bound once to dense
+// handles (AUTOSAR's RTE resolves its port connections when it is
+// generated, not by name at run time).
 //
 // Signals crossing the vehicle network additionally carry a *qualifier*:
 // a receiver registers a ReceptionPolicy (deadline + substitute-value
@@ -13,13 +15,16 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/strong_id.hpp"
 
 namespace easis::rte {
 
@@ -48,6 +53,14 @@ struct ReceptionPolicy {
   double limp_value = 0.0;
 };
 
+/// Dense index of a signal bound on one SignalBus (see SignalBus::bind).
+using SignalHandle = util::StrongId<struct SignalTag>;
+
+/// Sender-receiver signals in a slot table. Names are bound to dense
+/// handles once, at configuration time; the per-cycle API takes handles,
+/// so a runnable's publish or read is an index, not a string hash. The
+/// string overloads are thin wrappers (one lookup of a string_view, no
+/// temporary std::string) for tests, tools and configuration code.
 class SignalBus {
  public:
   struct Entry {
@@ -63,43 +76,96 @@ class SignalBus {
     SignalQualifier qualifier = SignalQualifier::kValid;
   };
 
+  /// Observers get the name the signal was bound with.
   using Observer =
       std::function<void(const std::string&, double, sim::SimTime)>;
 
+  SignalBus() = default;
+  // The name index holds views of the stored names.
+  SignalBus(const SignalBus&) = delete;
+  SignalBus& operator=(const SignalBus&) = delete;
+
+  /// Handle of `name`, binding it on first use (idempotent). Binding alone
+  /// does not create the signal: has()/entry()/names() see it only once it
+  /// was published or invalidated.
+  SignalHandle bind(std::string_view name);
+  /// Handle of an already bound name; invalid if `name` was never bound.
+  [[nodiscard]] SignalHandle find(std::string_view name) const;
+  [[nodiscard]] const std::string& name(SignalHandle signal) const;
+
   /// Writes a signal (creates it on first write); clears kInvalid.
-  void publish(const std::string& name, double value, sim::SimTime at);
+  void publish(SignalHandle signal, double value, sim::SimTime at);
+  void publish(std::string_view name, double value, sim::SimTime at) {
+    publish(bind(name), value, at);
+  }
 
   /// Marks the signal invalid (its producer received damaged data) without
   /// touching the last good value. Cleared by the next publish.
-  void invalidate(const std::string& name, sim::SimTime at);
+  void invalidate(SignalHandle signal, sim::SimTime at);
+  void invalidate(std::string_view name, sim::SimTime at) {
+    invalidate(bind(name), at);
+  }
 
   /// Registers the receiver-side policy; the deadline is armed from `now`
   /// so a signal that never arrives at all still times out.
-  void set_reception_policy(const std::string& name, ReceptionPolicy policy,
+  void set_reception_policy(SignalHandle signal, ReceptionPolicy policy,
                             sim::SimTime now);
+  void set_reception_policy(std::string_view name, ReceptionPolicy policy,
+                            sim::SimTime now) {
+    set_reception_policy(bind(name), policy, now);
+  }
   [[nodiscard]] std::optional<ReceptionPolicy> reception_policy(
-      const std::string& name) const;
+      SignalHandle signal) const;
+  [[nodiscard]] std::optional<ReceptionPolicy> reception_policy(
+      std::string_view name) const {
+    return reception_policy(find(name));
+  }
+
+  // The reads below accept an invalid handle (an unbound name through the
+  // string overloads) and treat it as a signal that never arrived.
 
   /// Classifies the signal at time `now` against its reception policy.
   /// Signals without a policy are kValid whenever they exist.
-  [[nodiscard]] SignalQualifier qualifier(const std::string& name,
+  [[nodiscard]] SignalQualifier qualifier(SignalHandle signal,
                                           sim::SimTime now) const;
+  [[nodiscard]] SignalQualifier qualifier(std::string_view name,
+                                          sim::SimTime now) const {
+    return qualifier(find(name), now);
+  }
 
   /// Policy-aware read: a kValid signal reads as its value; a degraded one
   /// reads as the substitute the policy prescribes. `fallback` covers
   /// signals that never arrived and hold-last with no last value.
-  [[nodiscard]] QualifiedValue read_qualified(const std::string& name,
+  [[nodiscard]] QualifiedValue read_qualified(SignalHandle signal,
                                               sim::SimTime now,
                                               double fallback) const;
+  [[nodiscard]] QualifiedValue read_qualified(std::string_view name,
+                                              sim::SimTime now,
+                                              double fallback) const {
+    return read_qualified(find(name), now, fallback);
+  }
 
   /// Last written value, if the signal exists.
-  [[nodiscard]] std::optional<double> read(const std::string& name) const;
+  [[nodiscard]] std::optional<double> read(SignalHandle signal) const {
+    const Entry* e = written(signal);
+    return e == nullptr ? std::nullopt : std::optional<double>(e->value);
+  }
+  [[nodiscard]] std::optional<double> read(std::string_view name) const {
+    return read(find(name));
+  }
 
   /// Last written value or `fallback` for missing signals (initial ticks).
-  [[nodiscard]] double read_or(const std::string& name, double fallback) const;
+  [[nodiscard]] double read_or(SignalHandle signal, double fallback) const {
+    const Entry* e = written(signal);
+    return e == nullptr ? fallback : e->value;
+  }
+  [[nodiscard]] double read_or(std::string_view name, double fallback) const {
+    return read_or(find(name), fallback);
+  }
 
-  [[nodiscard]] std::optional<Entry> entry(const std::string& name) const;
-  [[nodiscard]] bool has(const std::string& name) const;
+  [[nodiscard]] std::optional<Entry> entry(std::string_view name) const;
+  [[nodiscard]] bool has(std::string_view name) const;
+  /// Names of the existing signals, in first-bind order.
   [[nodiscard]] std::vector<std::string> names() const;
 
   /// Observers see every publish (tracing, gateway bridging).
@@ -125,26 +191,54 @@ class SignalBus {
 
   /// Gives `name` a bounded queue of `capacity` entries (re-configuring
   /// resets the queue state).
-  void configure_queue(const std::string& name, std::uint32_t capacity);
+  void configure_queue(std::string_view name, std::uint32_t capacity);
   /// Consumer side: removes up to `count` queued entries; returns how many
   /// were actually drained.
-  std::uint32_t drain(const std::string& name, std::uint32_t count = 1);
+  std::uint32_t drain(SignalHandle signal, std::uint32_t count = 1);
+  std::uint32_t drain(std::string_view name, std::uint32_t count = 1) {
+    return drain(find(name), count);
+  }
   /// Empties the queue and clears peak/overflow counters (task restart).
-  void clear_queue(const std::string& name);
+  void clear_queue(std::string_view name);
   [[nodiscard]] std::optional<QueueState> queue_state(
-      const std::string& name) const;
+      SignalHandle signal) const;
+  [[nodiscard]] std::optional<QueueState> queue_state(
+      std::string_view name) const {
+    return queue_state(find(name));
+  }
+  /// Names of the queued signals, in first-bind order.
   [[nodiscard]] std::vector<std::string> queued_signal_names() const;
 
  private:
-  struct Policy {
+  /// Everything the bus keeps per signal, indexed by handle.
+  struct Slot {
+    Entry entry;
+    bool has_policy = false;
+    bool has_queue = false;
     ReceptionPolicy policy;
     sim::SimTime armed_at;
+    QueueState queue;
   };
 
-  std::unordered_map<std::string, Entry> entries_;
-  std::unordered_map<std::string, Policy> policies_;
-  std::unordered_map<std::string, QueueState> queues_;
+  std::vector<Slot> slots_;
+  /// Bound names by handle; a deque, so the views in `index_` and the
+  /// names handed to observers stay put while more names are bound.
+  std::deque<std::string> names_;
+  std::unordered_map<std::string_view, SignalHandle> index_;
   std::vector<Observer> observers_;
+
+  /// Published or invalidated at least once.
+  [[nodiscard]] static bool exists(const Entry& e) {
+    return e.updates > 0 || e.invalid;
+  }
+  [[nodiscard]] Slot& slot(SignalHandle signal);
+  /// The slot of a valid handle, nullptr for an invalid one.
+  [[nodiscard]] const Slot* slot_or_null(SignalHandle signal) const;
+  /// The entry of a signal that was published at least once.
+  [[nodiscard]] const Entry* written(SignalHandle signal) const {
+    const Slot* s = slot_or_null(signal);
+    return s == nullptr || s->entry.updates == 0 ? nullptr : &s->entry;
+  }
 };
 
 }  // namespace easis::rte

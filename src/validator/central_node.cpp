@@ -39,6 +39,9 @@ CentralNode::CentralNode(sim::Engine& engine, CentralNodeConfig config)
       thermal_model_(config.thermal) {
   auto& kernel = ecu_.kernel();
   auto& rte = ecu_.rte();
+  drive_cmd_signal_ = ecu_.signals().bind("actuator.drive_cmd");
+  speed_signal_ = ecu_.signals().bind("vehicle.speed_kmh");
+  lane_offset_signal_ = ecu_.signals().bind("lane.offset_m");
 
   // 1 ms system counter driving all periodic activations.
   os::CounterConfig counter_config;
@@ -613,14 +616,13 @@ void CentralNode::schedule_environment(std::uint64_t generation) {
       [this, generation] {
         if (generation != env_generation_) return;
         auto& signals = ecu_.signals();
-        vehicle_.set_drive_command(signals.read_or("actuator.drive_cmd", 0.0));
+        vehicle_.set_drive_command(signals.read_or(drive_cmd_signal_, 0.0));
         vehicle_.step(config_.environment_step);
         lane_.step(config_.environment_step);
         thermal_model_.step(config_.environment_step,
                             rsu_ ? rsu_->load_average() : 0.0);
-        signals.publish("vehicle.speed_kmh", vehicle_.speed_kmh(),
-                        engine_.now());
-        signals.publish("lane.offset_m", lane_.lateral_offset_m(),
+        signals.publish(speed_signal_, vehicle_.speed_kmh(), engine_.now());
+        signals.publish(lane_offset_signal_, lane_.lateral_offset_m(),
                         engine_.now());
         schedule_environment(generation);
       },

@@ -289,6 +289,10 @@ class CentralNode {
   bool rebooting_ = false;
   std::uint64_t env_generation_ = 0;
   std::uint64_t boot_generation_ = 0;
+  // Environment-step signals (bound once; the step runs every few ms).
+  rte::SignalHandle drive_cmd_signal_;
+  rte::SignalHandle speed_signal_;
+  rte::SignalHandle lane_offset_signal_;
 
   void arm_alarms();
   void apply_policy_bindings();

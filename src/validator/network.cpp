@@ -7,6 +7,9 @@ VehicleNetwork::VehicleNetwork(sim::Engine& engine,
                                NetworkConfig config)
     : engine_(engine),
       signals_(central_signals),
+      max_speed_signal_(central_signals.bind("safespeed.max_speed_kmh")),
+      ambient_light_signal_(central_signals.bind("env.ambient_light")),
+      speed_signal_(central_signals.bind("vehicle.speed_kmh")),
       config_(config),
       can_link_(config.fault_seed),
       flexray_link_(config.fault_seed + 1),
@@ -44,7 +47,7 @@ VehicleNetwork::VehicleNetwork(sim::Engine& engine,
         }
         if (auto kmh = bus::decode_f32(frame, offset)) {
           ++commands_received_;
-          signals_.publish("safespeed.max_speed_kmh", *kmh, now);
+          signals_.publish(max_speed_signal_, *kmh, now);
         } else {
           ++decode_failures_;
         }
@@ -96,7 +99,7 @@ VehicleNetwork::VehicleNetwork(sim::Engine& engine,
                [this](const bus::Frame& frame, sim::SimTime now) {
                  if (frame.id != config_.lin_ambient_frame_id) return;
                  if (auto level = bus::decode_f32(frame, 0)) {
-                   signals_.publish("env.ambient_light", *level, now);
+                   signals_.publish(ambient_light_signal_, *level, now);
                  } else {
                    ++decode_failures_;
                  }
@@ -142,7 +145,7 @@ void VehicleNetwork::schedule_speed_broadcast() {
     if (!running_) return;
     bus::Frame frame;
     frame.id = 0x200 + config_.speed_slot;
-    bus::encode_f32(frame, 0, signals_.read_or("vehicle.speed_kmh", 0.0));
+    bus::encode_f32(frame, 0, signals_.read_or(speed_signal_, 0.0));
     if (speed_tx_) speed_tx_->protect(frame);
     flexray_->send(central_fr_endpoint_, config_.speed_slot,
                    std::move(frame));

@@ -124,6 +124,9 @@ class VehicleNetwork {
  private:
   sim::Engine& engine_;
   rte::SignalBus& signals_;
+  rte::SignalHandle max_speed_signal_;
+  rte::SignalHandle ambient_light_signal_;
+  rte::SignalHandle speed_signal_;
   NetworkConfig config_;
   std::unique_ptr<bus::CanBus> can_;
   std::unique_ptr<bus::FlexRayBus> flexray_;

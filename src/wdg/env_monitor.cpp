@@ -42,6 +42,8 @@ void EnvironmentSupervisionUnit::add_thermal(const ThermalChannel& channel) {
                    channel.name);
   ThermalState state;
   state.config = channel;
+  state.temp_signal = bus_.bind("env." + channel.name + ".temp_c");
+  state.stage_signal = bus_.bind("env." + channel.name + ".stage");
   thermal_.emplace(channel.id, std::move(state));
   thermal_order_.push_back(channel.id);
 }
@@ -60,6 +62,8 @@ void EnvironmentSupervisionUnit::add_filesystem(
                    channel.name);
   FilesystemState state;
   state.config = channel;
+  state.fill_signal = bus_.bind("env." + channel.name + ".fill.level");
+  state.wear_signal = bus_.bind("env." + channel.name + ".wear.level");
   filesystem_.emplace(channel.id, std::move(state));
   fs_order_.push_back(channel.id);
 }
@@ -172,8 +176,8 @@ void EnvironmentSupervisionUnit::cycle_thermal(ThermalState& state,
 
   // Freeze-frame feed: temperature and ladder stage are on the bus when
   // the FMF captures a DTC freeze frame.
-  bus_.publish("env." + cfg.name + ".temp_c", reading, now);
-  bus_.publish("env." + cfg.name + ".stage",
+  bus_.publish(state.temp_signal, reading, now);
+  bus_.publish(state.stage_signal,
                static_cast<double>(static_cast<std::uint8_t>(state.stage)),
                now);
 
@@ -222,10 +226,8 @@ void EnvironmentSupervisionUnit::cycle_filesystem(FilesystemState& state,
   state.last_fill_pct = fill_pct;
   state.last_wear_pct = wear_pct;
 
-  bus_.publish("env." + cfg.name + ".fill.level",
-               static_cast<double>(fill_pct), now);
-  bus_.publish("env." + cfg.name + ".wear.level",
-               static_cast<double>(wear_pct), now);
+  bus_.publish(state.fill_signal, static_cast<double>(fill_pct), now);
+  bus_.publish(state.wear_signal, static_cast<double>(wear_pct), now);
 
   // Write failures: wear-out or transient flash faults — immediate, a
   // failed journal write is already a visible failure.

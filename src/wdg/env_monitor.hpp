@@ -185,6 +185,8 @@ class EnvironmentSupervisionUnit {
  private:
   struct ThermalState {
     ThermalChannel config;
+    rte::SignalHandle temp_signal;   // "env.<name>.temp_c"
+    rte::SignalHandle stage_signal;  // "env.<name>.stage"
     ThermalStage stage = ThermalStage::kNormal;
     double last_c = 0.0;
     bool have_last = false;
@@ -196,6 +198,8 @@ class EnvironmentSupervisionUnit {
   };
   struct FilesystemState {
     FilesystemChannel config;
+    rte::SignalHandle fill_signal;  // "env.<name>.fill.level"
+    rte::SignalHandle wear_signal;  // "env.<name>.wear.level"
     std::uint32_t above_watermark = 0;
     std::uint64_t last_write_errors = 0;
     std::uint64_t last_overflows = 0;

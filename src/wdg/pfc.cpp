@@ -54,7 +54,10 @@ void ProgramFlowCheckingUnit::on_execution(RunnableId runnable, TaskId task,
 }
 
 void ProgramFlowCheckingUnit::task_boundary(TaskId task) {
-  contexts_.erase(task);
+  // Clear, not erase: the task's node is reused by its next job.
+  if (auto it = contexts_.find(task); it != contexts_.end()) {
+    it->second = RunnableId{};
+  }
 }
 
 void ProgramFlowCheckingUnit::reset() { contexts_.clear(); }

@@ -48,6 +48,10 @@ void ResourceSupervisionUnit::add_resource(const SupervisedResource& resource) {
 
   State state;
   state.config = resource;
+  state.level_signal = bus_.bind("res." + resource.name + ".level");
+  if (resource.resource_class == ResourceClass::kQueue) {
+    state.queue_signal = bus_.bind(resource.queue_signal);
+  }
   resources_.emplace(resource.id, std::move(state));
   order_.push_back(resource.id);
 }
@@ -82,7 +86,7 @@ void ResourceSupervisionUnit::sample(State& state, sim::SimTime now,
       break;
     }
     case ResourceClass::kQueue: {
-      if (const auto q = bus_.queue_state(cfg.queue_signal)) {
+      if (const auto q = bus_.queue_state(state.queue_signal)) {
         usage = q->depth;
         budget = q->capacity;
         denied_total = q->overflows;
@@ -142,7 +146,7 @@ void ResourceSupervisionUnit::cycle(sim::SimTime now) {
 
     // Freeze-frame feed: the offending task's resource level is on the
     // bus when the FMF captures a DTC freeze frame for it.
-    bus_.publish("res." + cfg.name + ".level", static_cast<double>(pct), now);
+    bus_.publish(state.level_signal, static_cast<double>(pct), now);
 
     if (telemetry::enabled() && snapshot_cycle) {
       telemetry::Event event;

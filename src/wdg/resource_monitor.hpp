@@ -126,6 +126,10 @@ class ResourceSupervisionUnit {
  private:
   struct State {
     SupervisedResource config;
+    /// "res.<name>.level", published every cycle.
+    rte::SignalHandle level_signal;
+    /// config.queue_signal (kQueue resources only).
+    rte::SignalHandle queue_signal;
     /// Consecutive cycles at/above the watermark.
     std::uint32_t above_watermark = 0;
     /// Level samples (fraction of budget) for leak-rate detection.

@@ -53,10 +53,24 @@ void TaskStateIndicationUnit::report_error(RunnableId runnable, ErrorType type,
 }
 
 void TaskStateIndicationUnit::derive_states(sim::SimTime now) {
+  // A state callback may re-enter (a treatment clears the task it was
+  // told about), so each nesting level has its own scratch. Assigning
+  // the health maps into it reuses its nodes and keeps their iteration
+  // order, which is the order transitions are emitted in.
+  if (derive_depth_ == scratch_.size()) scratch_.emplace_back();
+  DeriveScratch& scratch = scratch_[derive_depth_];
+  ++derive_depth_;
+  struct DepthGuard {
+    std::size_t& depth;
+    ~DepthGuard() { --depth; }
+  } guard{derive_depth_};
+
   // Task states from error indication vectors.
-  std::unordered_map<TaskId, Health> new_task = task_health_;
+  std::unordered_map<TaskId, Health>& new_task = scratch.task;
+  new_task = task_health_;
   for (auto& [task, health] : new_task) health = Health::kOk;
-  std::unordered_map<ApplicationId, Health> new_app = app_health_;
+  std::unordered_map<ApplicationId, Health>& new_app = scratch.app;
+  new_app = app_health_;
   for (auto& [app, health] : new_app) health = Health::kOk;
 
   for (RunnableId id : order_) {

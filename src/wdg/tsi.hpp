@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -84,6 +85,15 @@ class TaskStateIndicationUnit {
   TaskStateCallback task_cb_;
   ApplicationStateCallback app_cb_;
   EcuStateCallback ecu_cb_;
+
+  /// derive_states() working copies, one per nesting level (a deque, so
+  /// an outer level's scratch stays put while an inner one is added).
+  struct DeriveScratch {
+    std::unordered_map<TaskId, Health> task;
+    std::unordered_map<ApplicationId, Health> app;
+  };
+  std::deque<DeriveScratch> scratch_;
+  std::size_t derive_depth_ = 0;
 
   void derive_states(sim::SimTime now);
 };

@@ -105,10 +105,10 @@ TEST(HardwareWatchdogService, HoggedCpuStarvesKickerAndFires) {
   hog_cfg.name = "hog";
   hog_cfg.priority = 10;
   const TaskId hog = kernel.create_task(hog_cfg);
-  kernel.set_job_factory(hog, [] {
+  kernel.set_job_factory(hog, [](os::Job& job) {
     os::Segment s;
     s.cost = Duration::seconds(100);
-    return os::Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   service.arm();
@@ -131,10 +131,10 @@ class DeadlineTest : public ::testing::Test {
     config.name = name;
     config.priority = priority;
     const TaskId id = kernel.create_task(config);
-    kernel.set_job_factory(id, [cost] {
+    kernel.set_job_factory(id, [cost](os::Job& job) {
       os::Segment s;
       s.cost = cost;
-      return os::Job{s};
+      job.push_back(std::move(s));
     });
     return id;
   }
@@ -194,14 +194,12 @@ TEST_F(DeadlineTest, TaskGranularityMissesRunnableFault) {
   config.name = "t";
   config.priority = 5;
   const TaskId t = kernel.create_task(config);
-  kernel.set_job_factory(t, [&] {
-    os::Job job;
+  kernel.set_job_factory(t, [&](os::Job& job) {
     // The dropped runnable: zero segments contributed.
     os::Segment s;
     s.cost = Duration::millis(1);
     s.on_complete = [&] { ++first_runs; };
     job.push_back(s);
-    return job;
   });
   DeadlineMonitor monitor(kernel);
   monitor.set_deadline(t, Duration::millis(5));

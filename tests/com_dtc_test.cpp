@@ -76,7 +76,7 @@ TEST_F(ComTest, NotificationWakesReceiverTask) {
   com.set_notification(m, receiver, 0x1);
 
   std::vector<os::MessagePayload> received;
-  kernel.set_job_factory(receiver, [&] {
+  kernel.set_job_factory(receiver, [&](os::Job& job) {
     os::Segment wait;
     wait.wait_mask = 0x1;
     wait.cost = Duration::micros(10);
@@ -85,7 +85,7 @@ TEST_F(ComTest, NotificationWakesReceiverTask) {
       if (r.ok()) received.push_back(r.value());
       kernel.chain_task(receiver);
     };
-    return os::Job{wait};
+    job.push_back(std::move(wait));
   });
 
   kernel.start();

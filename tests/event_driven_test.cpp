@@ -203,10 +203,10 @@ class TracerTest : public ::testing::Test {
     config.name = name;
     config.priority = priority;
     const TaskId id = kernel.create_task(config);
-    kernel.set_job_factory(id, [cost] {
+    kernel.set_job_factory(id, [cost](os::Job& job) {
       os::Segment s;
       s.cost = cost;
-      return os::Job{s};
+      job.push_back(std::move(s));
     });
     return id;
   }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -392,6 +393,110 @@ TEST(NvmPayloadBytes, CommitMatchesTheReferenceBanksAndCounters) {
   EXPECT_GT(store.commits(), 0u);
   EXPECT_GT(store.overflows(), 0u);
   EXPECT_GT(store.write_errors(), 0u);
+}
+
+// --- the eviction ladder ------------------------------------------------------
+
+/// random_image() with last_seen drawn from four values, so that most
+/// classes hold ties and the lower-index rule decides.
+NvmImage tied_image(util::Rng& rng) {
+  NvmImage image = random_image(rng);
+  for (PersistedDtc& dtc : image.dtcs) {
+    dtc.last_seen = SimTime(1'000'000 + 1'000 * rng.uniform_int(0, 3));
+  }
+  return image;
+}
+
+/// Evictions the reference ladder performs before it runs dry.
+std::size_t ref_ladder_length(NvmImage image) {
+  std::size_t steps = 0;
+  while (ref_evict_one(image)) ++steps;
+  return steps;
+}
+
+TEST(EvictionLadder, EveryPrefixLeavesTheReferenceImage) {
+  util::Rng rng(0x1ADDE7);
+  for (int i = 0; i < 200; ++i) {
+    const NvmImage image = tied_image(rng);
+    const std::size_t length = ref_ladder_length(image);
+    for (std::size_t k = 0; k <= length + 1; ++k) {
+      NvmImage expected = image;
+      for (std::size_t step = 0; step < k; ++step) {
+        (void)ref_evict_one(expected);
+      }
+      NvmImage evicted = image;
+      EvictionLadder ladder(evicted);
+      std::size_t freed = 0;
+      for (std::size_t step = 0; step < k; ++step) {
+        const std::size_t bytes = ladder.evict_next(evicted);
+        // A step past the end frees nothing, as for the reference.
+        ASSERT_EQ(bytes == 0, step >= length)
+            << "image " << i << " step " << step;
+        freed += bytes;
+      }
+      ladder.compact(evicted);
+      ASSERT_EQ(ref_serialize(evicted), ref_serialize(expected))
+          << "image " << i << " after " << k << " evictions";
+      ASSERT_EQ(payload_bytes(image) - freed, payload_bytes(evicted))
+          << "image " << i << " after " << k << " evictions";
+    }
+  }
+}
+
+/// persist()'s retry loop over an arbitrary image: production store and
+/// ladder, compacting once the image fits.
+struct LadderPersist {
+  explicit LadderPersist(std::size_t capacity) : nvm(capacity) {}
+
+  void persist(NvmImage image) {
+    std::size_t bytes = payload_bytes(image);
+    std::uint32_t overflows_seen = nvm.overflows();
+    std::optional<EvictionLadder> ladder;
+    while (!nvm.commit(image, bytes)) {
+      const bool capacity = nvm.overflows() > overflows_seen;
+      overflows_seen = nvm.overflows();
+      if (!capacity) return;
+      if (!ladder) ladder.emplace(image);
+      const std::size_t freed = ladder->evict_next(image);
+      if (freed == 0) return;
+      bytes -= freed;
+      ++evictions;
+      if (nvm.fits(bytes)) {
+        ladder->compact(image);
+        ladder.reset();
+      }
+    }
+  }
+
+  NvmStore nvm;
+  std::uint32_t evictions = 0;
+};
+
+TEST(EvictionLadder, RandomImagesSurviveAsWithTheReferenceLoop) {
+  util::Rng rng(0xF1A5F);
+  std::uint32_t total_evictions = 0;
+  std::uint32_t gave_up = 0;
+  for (int i = 0; i < 400; ++i) {
+    const NvmImage image = tied_image(rng);
+    // Anything from "fits as is" down to "fits only the fixed fields".
+    const std::size_t full = kHeader + payload_bytes(image);
+    const auto capacity = static_cast<std::size_t>(
+        rng.uniform_int(kHeader + 11, static_cast<std::int64_t>(full) + 8));
+    RefPersist ref(capacity);
+    LadderPersist ladder(capacity);
+    ref.persist(image);
+    ladder.persist(image);
+    ASSERT_EQ(ladder.evictions, ref.evictions) << "image " << i;
+    ASSERT_EQ(ladder.nvm.overflows(), ref.nvm.overflows) << "image " << i;
+    ASSERT_EQ(ladder.nvm.commits(), ref.nvm.commits) << "image " << i;
+    ASSERT_EQ(ladder.nvm.bank(0), ref.nvm.banks[0]) << "image " << i;
+    ASSERT_EQ(ladder.nvm.bank(1), ref.nvm.banks[1]) << "image " << i;
+    total_evictions += ref.evictions;
+    if (ref.nvm.commits == 0) ++gave_up;
+  }
+  // The seed evicted, and also ran the ladder dry on some images.
+  EXPECT_GT(total_evictions, 400u);
+  EXPECT_GT(gave_up, 0u);
 }
 
 // --- persist() against the reference retry loop ------------------------------

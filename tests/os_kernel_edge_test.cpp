@@ -28,11 +28,11 @@ class KernelEdgeTest : public ::testing::Test {
     config.priority = priority;
     config.max_pending_activations = max_pending;
     const TaskId id = kernel.create_task(config);
-    kernel.set_job_factory(id, [cost, body] {
+    kernel.set_job_factory(id, [cost, body](Job& job) {
       Segment s;
       s.cost = cost;
       s.on_complete = body;
-      return Job{s};
+      job.push_back(std::move(s));
     });
     return id;
   }
@@ -81,7 +81,7 @@ TEST_F(KernelEdgeTest, ChainToInvalidTaskKeepsRunning) {
   config.name = "t";
   config.priority = 5;
   const TaskId t = kernel.create_task(config);
-  kernel.set_job_factory(t, [&] {
+  kernel.set_job_factory(t, [&](Job& job) {
     Segment first;
     first.cost = Duration::micros(10);
     first.on_complete = [&] {
@@ -91,7 +91,8 @@ TEST_F(KernelEdgeTest, ChainToInvalidTaskKeepsRunning) {
     Segment second;
     second.cost = Duration::micros(10);
     second.on_complete = [&] { order.push_back("second"); };
-    return Job{first, second};
+    job.push_back(std::move(first));
+    job.push_back(std::move(second));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -106,13 +107,13 @@ TEST_F(KernelEdgeTest, ChainToSelfRunsAgain) {
   config.name = "self";
   config.priority = 5;
   const TaskId t = kernel.create_task(config);
-  kernel.set_job_factory(t, [&, t] {
+  kernel.set_job_factory(t, [&, t](Job& job) {
     Segment s;
     s.cost = Duration::micros(100);
     s.on_complete = [&, t] {
       if (++runs < 3) kernel.chain_task(t);
     };
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -129,7 +130,7 @@ TEST_F(KernelEdgeTest, ResourcesReleasedLifoOnly) {
   config.name = "t";
   config.priority = 5;
   const TaskId t = kernel.create_task(config);
-  kernel.set_job_factory(t, [&] {
+  kernel.set_job_factory(t, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(10);
     s.on_start = [&] {
@@ -139,7 +140,7 @@ TEST_F(KernelEdgeTest, ResourcesReleasedLifoOnly) {
       statuses.push_back(kernel.release_resource(r2));  // correct (LIFO)
       statuses.push_back(kernel.release_resource(r1));  // now correct
     };
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -158,11 +159,11 @@ TEST_F(KernelEdgeTest, SetEventWithZeroMaskDoesNotWake) {
   config.priority = 5;
   config.extended = true;
   const TaskId t = kernel.create_task(config);
-  kernel.set_job_factory(t, [] {
+  kernel.set_job_factory(t, [](Job& job) {
     Segment s;
     s.wait_mask = 0x4;
     s.cost = Duration::micros(10);
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -182,11 +183,11 @@ TEST_F(KernelEdgeTest, WakeConsumesOnlyWaitedBits) {
   config.priority = 5;
   config.extended = true;
   const TaskId t = kernel.create_task(config);
-  kernel.set_job_factory(t, [] {
+  kernel.set_job_factory(t, [](Job& job) {
     Segment s;
     s.wait_mask = 0x1;
     s.cost = Duration::millis(5);
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(t);
@@ -287,24 +288,24 @@ TEST_F(KernelEdgeTest, PreemptionDuringOnStartOfSegment) {
   lo_cfg.name = "lo";
   lo_cfg.priority = 1;
   const TaskId lo = kernel.create_task(lo_cfg);
-  kernel.set_job_factory(lo, [&] {
+  kernel.set_job_factory(lo, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(100);
     s.on_start = [&] { kernel.activate_task(hi); };
     s.on_complete = [&] { order.push_back("lo@" +
                                           std::to_string(engine.now().as_micros())); };
-    return Job{s};
+    job.push_back(std::move(s));
   });
   TaskConfig hi_cfg;
   hi_cfg.name = "hi";
   hi_cfg.priority = 9;
   hi = kernel.create_task(hi_cfg);
-  kernel.set_job_factory(hi, [&] {
+  kernel.set_job_factory(hi, [&](Job& job) {
     Segment s;
     s.cost = Duration::micros(50);
     s.on_complete = [&] { order.push_back("hi@" +
                                           std::to_string(engine.now().as_micros())); };
-    return Job{s};
+    job.push_back(std::move(s));
   });
   kernel.start();
   kernel.activate_task(lo);

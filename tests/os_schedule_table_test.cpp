@@ -25,13 +25,13 @@ class ScheduleTableTest : public ::testing::Test {
     config.name = name;
     config.priority = priority;
     const TaskId id = kernel.create_task(config);
-    kernel.set_job_factory(id, [this, cost, runs] {
+    kernel.set_job_factory(id, [this, cost, runs](Job& job) {
       Segment s;
       s.cost = cost;
       if (runs != nullptr) {
         s.on_complete = [this, runs] { runs->push_back(engine.now()); };
       }
-      return Job{s};
+      job.push_back(std::move(s));
     });
     return id;
   }

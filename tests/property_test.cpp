@@ -100,10 +100,10 @@ TEST_P(KernelTaskSet, AllJobsCompleteUnderLowUtilization) {
     const Duration cost =
         Duration::micros(rng.uniform_int(
             50, static_cast<std::int64_t>(period_ticks) * 40));
-    kernel.set_job_factory(id, [cost] {
+    kernel.set_job_factory(id, [cost](os::Job& job) {
       os::Segment s;
       s.cost = cost;
-      return os::Job{s};
+      job.push_back(std::move(s));
     });
     const AlarmId alarm =
         kernel.create_alarm(counter, os::AlarmActionActivateTask{id});

@@ -315,10 +315,10 @@ TEST_F(RsuTest, VirtualRunnableRollsTaskFaultyThroughTsi) {
 }
 
 TEST_F(RsuTest, CpuLoadEwmaTracksKernelBusyTime) {
-  kernel.set_job_factory(task, [] {
+  kernel.set_job_factory(task, [](os::Job& job) {
     os::Segment segment;
     segment.cost = Duration::millis(5);
-    return os::Job{segment};
+    job.push_back(std::move(segment));
   });
   rsu.set_load_smoothing(1.0);  // no smoothing: read the raw cycle share
   rsu.add_resource(resource(ResourceClass::kCpuLoad,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "os/kernel.hpp"
@@ -362,6 +363,101 @@ TEST(SignalBus, NamesListsSignals) {
   EXPECT_EQ(bus.names().size(), 2u);
   EXPECT_TRUE(bus.has("a"));
   EXPECT_FALSE(bus.has("c"));
+}
+
+TEST(SignalBus, BindIsIdempotentAndSharesTheSlotWithTheStringApi) {
+  SignalBus bus;
+  const SignalHandle x = bus.bind("x");
+  EXPECT_TRUE(x.valid());
+  EXPECT_EQ(bus.bind(std::string("x")), x);
+  EXPECT_EQ(bus.find("x"), x);
+  EXPECT_FALSE(bus.find("y").valid());
+  EXPECT_EQ(bus.name(x), "x");
+  // Binding alone does not create the signal.
+  EXPECT_FALSE(bus.has("x"));
+  EXPECT_FALSE(bus.read(x).has_value());
+  EXPECT_DOUBLE_EQ(bus.read_or(x, 7.0), 7.0);
+
+  bus.publish(x, 1.5, SimTime(10));
+  EXPECT_TRUE(bus.has("x"));
+  EXPECT_DOUBLE_EQ(bus.read_or("x", 0.0), 1.5);
+  bus.publish("x", 2.5, SimTime(20));
+  EXPECT_DOUBLE_EQ(*bus.read(x), 2.5);
+  const auto entry = bus.entry("x");
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->updates, 2u);
+  EXPECT_EQ(entry->updated_at, SimTime(20));
+  // A name first seen through the string API binds the same way.
+  bus.publish("y", 3.0, SimTime(30));
+  EXPECT_EQ(bus.bind("y"), bus.find("y"));
+  EXPECT_NE(bus.find("y"), x);
+  // An invalid handle reads as a signal that never arrived.
+  EXPECT_DOUBLE_EQ(bus.read_or(SignalHandle{}, 4.0), 4.0);
+  EXPECT_EQ(bus.qualifier(SignalHandle{}, SimTime(0)), SignalQualifier::kValid);
+}
+
+TEST(SignalBus, QueueAndReceptionPolicyFollowTheHandle) {
+  SignalBus bus;
+  bus.configure_queue("q", 2);
+  const SignalHandle q = bus.bind("q");
+  for (int i = 0; i < 3; ++i) bus.publish(q, i, SimTime(i));
+  ASSERT_TRUE(bus.queue_state(q).has_value());
+  EXPECT_EQ(bus.queue_state(q)->depth, 2u);
+  EXPECT_EQ(bus.queue_state("q")->overflows, 1u);
+  EXPECT_EQ(bus.drain(q), 1u);
+  EXPECT_EQ(bus.drain("q", 5), 1u);
+  EXPECT_EQ(bus.queue_state(q)->drained, 2u);
+  bus.clear_queue("q");
+  EXPECT_EQ(bus.queue_state(q)->overflows, 0u);
+  EXPECT_EQ(bus.queue_state(q)->capacity, 2u);
+  EXPECT_FALSE(bus.queue_state(bus.bind("unqueued")).has_value());
+  EXPECT_EQ(bus.drain(bus.bind("unqueued")), 0u);
+
+  ReceptionPolicy policy;
+  policy.deadline = Duration::millis(10);
+  policy.substitute = SubstitutePolicy::kDefault;
+  policy.default_value = 9.0;
+  bus.set_reception_policy(q, policy, SimTime(0));
+  ASSERT_TRUE(bus.reception_policy("q").has_value());
+  EXPECT_EQ(bus.reception_policy("q")->deadline, Duration::millis(10));
+  bus.publish("q", 5.0, SimTime(Duration::millis(1).as_micros()));
+  const SimTime late(Duration::millis(20).as_micros());
+  EXPECT_EQ(bus.qualifier(q, late), SignalQualifier::kTimeout);
+  EXPECT_EQ(bus.qualifier("q", late), SignalQualifier::kTimeout);
+  EXPECT_DOUBLE_EQ(bus.read_qualified(q, late, 0.0).value, 9.0);
+  bus.invalidate(q, late);
+  EXPECT_EQ(bus.qualifier("q", late), SignalQualifier::kInvalid);
+}
+
+TEST(SignalBus, ObserversGetTheBoundName) {
+  SignalBus bus;
+  SignalHandle speed;
+  {
+    const std::string temporary = "vehicle.speed_kmh";
+    speed = bus.bind(temporary);
+  }
+  std::vector<std::string> seen;
+  const std::string* stored = nullptr;
+  bus.add_observer([&](const std::string& name, double, SimTime) {
+    seen.push_back(name);
+    stored = &name;
+  });
+  bus.publish(speed, 1.0, SimTime(0));
+  bus.publish("vehicle.speed_kmh", 2.0, SimTime(1));
+  EXPECT_EQ(seen, (std::vector<std::string>{"vehicle.speed_kmh",
+                                            "vehicle.speed_kmh"}));
+  EXPECT_EQ(stored, &bus.name(speed));
+}
+
+TEST(SignalBus, NamesAreInFirstBindOrder) {
+  SignalBus bus;
+  const SignalHandle c = bus.bind("c");
+  const SignalHandle a = bus.bind("a");
+  (void)bus.bind("unpublished");
+  bus.publish("b", 1.0, SimTime(0));
+  bus.publish(a, 1.0, SimTime(0));
+  bus.invalidate(c, SimTime(0));
+  EXPECT_EQ(bus.names(), (std::vector<std::string>{"c", "a", "b"}));
 }
 
 // --- Ecu --------------------------------------------------------------------------------
